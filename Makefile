@@ -65,6 +65,4 @@ docs-check:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_benchmarks .benchmarks benchmarks/.benchmarks benchmarks/.store
-	# Pre-unification cache dirs: keep removing them for one release.
-	rm -rf benchmarks/.sweep_cache benchmarks/.trace_store benchmarks/.tune_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

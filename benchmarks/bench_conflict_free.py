@@ -41,12 +41,12 @@ from repro.core.kernels.sorting import flat_bitonic_sort
 @pytest.fixture(autouse=True)
 def _restore_store_env():
     """Leave the process-wide trace-store override as we found it."""
-    saved = os.environ.get("REPRO_TRACE_STORE_DIR")
+    saved = os.environ.get("REPRO_STORE_TRACE_DIR")
     yield
     if saved is None:
-        os.environ.pop("REPRO_TRACE_STORE_DIR", None)
+        os.environ.pop("REPRO_STORE_TRACE_DIR", None)
     else:
-        os.environ["REPRO_TRACE_STORE_DIR"] = saved
+        os.environ["REPRO_STORE_TRACE_DIR"] = saved
     reset_default_store()
 
 
@@ -82,7 +82,7 @@ def _sweep(mode, backend=None):
 
 
 def _isolated_store(tmpdir):
-    os.environ["REPRO_TRACE_STORE_DIR"] = str(tmpdir)
+    os.environ["REPRO_STORE_TRACE_DIR"] = str(tmpdir)
     reset_default_store()
 
 

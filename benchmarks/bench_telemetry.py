@@ -28,9 +28,9 @@ import tempfile
 import threading
 from pathlib import Path
 
-from repro.cluster.loadgen import drive_url
 from repro.cluster.supervisor import BackgroundRouter, ClusterSupervisor
 from repro.service.client import ServiceClient
+from repro.service.loadgen import drive_url
 from repro.telemetry import sse_events
 
 from _util import emit, format_rows, once, write_bench_json

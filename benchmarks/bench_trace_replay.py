@@ -32,12 +32,12 @@ from repro.machine.replay import default_store, reset_default_store
 @pytest.fixture(autouse=True)
 def _restore_store_env():
     """Leave the process-wide trace-store override as we found it."""
-    saved = os.environ.get("REPRO_TRACE_STORE_DIR")
+    saved = os.environ.get("REPRO_STORE_TRACE_DIR")
     yield
     if saved is None:
-        os.environ.pop("REPRO_TRACE_STORE_DIR", None)
+        os.environ.pop("REPRO_STORE_TRACE_DIR", None)
     else:
-        os.environ["REPRO_TRACE_STORE_DIR"] = saved
+        os.environ["REPRO_STORE_TRACE_DIR"] = saved
     reset_default_store()
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -75,7 +75,7 @@ def _hmm(l, mode):
 
 
 def _isolated_store(tmpdir):
-    os.environ["REPRO_TRACE_STORE_DIR"] = str(tmpdir)
+    os.environ["REPRO_STORE_TRACE_DIR"] = str(tmpdir)
     reset_default_store()
 
 

@@ -34,12 +34,12 @@ from repro.tuner.demos import run_config
 @pytest.fixture(autouse=True)
 def _restore_store_env():
     """Leave the process-wide trace-store override as we found it."""
-    saved = os.environ.get("REPRO_TRACE_STORE_DIR")
+    saved = os.environ.get("REPRO_STORE_TRACE_DIR")
     yield
     if saved is None:
-        os.environ.pop("REPRO_TRACE_STORE_DIR", None)
+        os.environ.pop("REPRO_STORE_TRACE_DIR", None)
     else:
-        os.environ["REPRO_TRACE_STORE_DIR"] = saved
+        os.environ["REPRO_STORE_TRACE_DIR"] = saved
     reset_default_store()
 
 
@@ -53,7 +53,7 @@ MIN_SPEEDUP = 5.0
 
 
 def _isolated_store(tmpdir):
-    os.environ["REPRO_TRACE_STORE_DIR"] = str(tmpdir)
+    os.environ["REPRO_STORE_TRACE_DIR"] = str(tmpdir)
     reset_default_store()
 
 

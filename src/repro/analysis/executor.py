@@ -16,10 +16,7 @@ work:
   *(measure-fn qualified name + bound scalars, the parameter point, the
   engine mode, the repro version fingerprint)*.  A new package version
   changes the fingerprint and silently invalidates old entries;
-  ``REPRO_STORE_SWEEP=off`` (or the deprecated ``REPRO_SWEEP_CACHE=off``)
-  is the escape hatch.  Pre-unification ``benchmarks/.sweep_cache/``
-  JSON-lines shards are imported automatically on first use (see
-  docs/STORAGE.md).
+  ``REPRO_STORE_SWEEP=off`` is the escape hatch (see docs/STORAGE.md).
 * **Progress** — a pluggable callback receives
   :class:`SweepProgress` snapshots (points done/total, cache hits, ETA,
   per-shard timings) so CLIs can print live status.
@@ -49,7 +46,6 @@ from typing import Any, Callable, Iterable, Mapping
 
 from repro.store import ArtifactStore
 from repro.store import config as _store_config
-from repro.store.migrate import auto_migrate as _auto_migrate
 
 __all__ = [
     "SweepPoint",
@@ -57,19 +53,12 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "SweepExecutor",
-    "default_cache_dir",
     "repro_fingerprint",
     "resolve_jobs",
 ]
 
-#: Set to ``off``/``0``/``no`` to disable the persistent cache entirely.
-#: Deprecated alias of ``REPRO_STORE_SWEEP`` (see :mod:`repro.store.config`).
-CACHE_ENV = "REPRO_SWEEP_CACHE"
-#: Overrides the default cache directory.  Deprecated alias of
-#: ``REPRO_STORE_SWEEP_DIR``.
-CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"
-#: Overrides the version fingerprint (useful for tests).  Not
-#: deprecated: it governs cache invalidation for every store namespace.
+#: Overrides the version fingerprint (useful for tests); it governs
+#: cache invalidation for every store namespace.
 FINGERPRINT_ENV = "REPRO_SWEEP_FINGERPRINT"
 
 _SCALARS = (bool, int, float, str, type(None))
@@ -152,20 +141,6 @@ def repro_fingerprint() -> str:
     return f"repro-{__version__}"
 
 
-def default_cache_dir(namespace: str = "sweep") -> Path:
-    """Where a sweep namespace's entries live: the per-namespace env
-    override (``REPRO_STORE_SWEEP_DIR``, or the deprecated
-    ``REPRO_SWEEP_CACHE_DIR``), else ``<store root>/<namespace>`` —
-    ``benchmarks/.store/sweep`` under the working directory by default."""
-    return _store_config.namespace_dir(namespace)
-
-
-def cache_allowed(namespace: str = "sweep") -> bool:
-    """False when ``REPRO_STORE``/``REPRO_STORE_SWEEP`` (or the
-    deprecated ``REPRO_SWEEP_CACHE``) disables caching."""
-    return _store_config.namespace_allowed(namespace)
-
-
 def resolve_jobs(jobs: int | str, num_points: int) -> int:
     """Worker-process count for a sweep of ``num_points`` live points.
 
@@ -246,13 +221,10 @@ class ResultCache:
     """Persistent measurement cache: one store namespace of canonical
     JSON entries (:mod:`repro.store`), one entry file per key.
 
-    Each entry is the same ``{"key", "fingerprint", "cycles", "extra"}``
-    record the pre-unification JSON-lines shards carried; legacy
-    ``shard_*.jsonl`` files found in (or at the historical default
-    location of) the cache directory are imported once on first open.
-    A corrupt or truncated entry is quarantined by the store and simply
-    recomputed.  Only the parent process writes — workers just return
-    values.
+    Each entry is one ``{"key", "fingerprint", "cycles", "extra"}``
+    record.  A corrupt or truncated entry is quarantined by the store
+    and simply recomputed.  Only the parent process writes — workers
+    just return values.
     """
 
     def __init__(
@@ -261,7 +233,6 @@ class ResultCache:
         fingerprint: str,
         *,
         namespace: str = "sweep",
-        migrate_from: "Path | None" = None,
     ) -> None:
         self.directory = Path(directory)
         self.fingerprint = fingerprint
@@ -269,7 +240,6 @@ class ResultCache:
         self._ns = ArtifactStore().namespace(
             namespace, "json", directory=self.directory
         )
-        _auto_migrate(self._ns, migrate_from)
         self.hits = 0
         self.misses = 0
 
@@ -377,11 +347,10 @@ class SweepExecutor:
         historical in-process loop.
     cache:
         Enable the persistent result cache.  Overridden globally by
-        ``REPRO_STORE=off`` / ``REPRO_STORE_SWEEP=off`` (or the
-        deprecated ``REPRO_SWEEP_CACHE=off``).
+        ``REPRO_STORE=off`` / ``REPRO_STORE_<NS>=off``.
     cache_dir:
-        Cache directory (default: :func:`default_cache_dir`, i.e. the
-        namespace's directory under the unified store root).
+        Cache directory (default: the namespace's directory,
+        ``REPRO_STORE_<NS>_DIR`` or ``<store root>/<namespace>``).
     namespace:
         Store namespace the cache lives in (default ``"sweep"``; the
         tuner passes ``"tune"``).
@@ -415,24 +384,13 @@ class SweepExecutor:
         self._pool: ProcessPoolExecutor | None = None
         self._pool_workers = 0
         self.cache: ResultCache | None = None
-        if cache and cache_allowed(namespace):
-            if cache_dir is not None:
-                directory = Path(cache_dir)
-                migrate_from = None
-            else:
-                directory = default_cache_dir(namespace)
-                # Only pull in the historical default cache dir when the
-                # namespace itself sits at its default location — a dir
-                # override means the caller already chose where entries
-                # live, and auto-importing elsewhere would surprise.
-                migrate_from = (
-                    None
-                    if _store_config.namespace_dir_overridden(namespace)
-                    else _store_config.legacy_default_dir(namespace)
-                )
+        if cache and _store_config.namespace_allowed(namespace):
+            directory = (
+                Path(cache_dir) if cache_dir is not None
+                else _store_config.namespace_dir(namespace)
+            )
             self.cache = ResultCache(
-                directory, self.fingerprint,
-                namespace=namespace, migrate_from=migrate_from,
+                directory, self.fingerprint, namespace=namespace
             )
 
     # -- pool reuse ---------------------------------------------------------

@@ -26,8 +26,6 @@ the tail.
   subprocesses (:class:`ClusterSupervisor`, kill-able for chaos runs)
   or as in-process threads (:class:`BackgroundCluster`, for tests and
   runnable docs).
-* :mod:`repro.cluster.loadgen` — closed-loop zipfian load against any
-  URL, with an optional mid-run shard kill.
 * ``python -m repro.cluster`` — ``serve`` / ``status`` / ``bench``.
 
 Shards stay byte-identical to a single-process service: the router

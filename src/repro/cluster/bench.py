@@ -29,9 +29,9 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.cluster.loadgen import drive_url
 from repro.cluster.supervisor import BackgroundRouter, ClusterSupervisor
 from repro.service.client import ServiceClient
+from repro.service.loadgen import drive_url
 
 __all__ = ["run_cluster_comparison", "render_cluster_comparison"]
 

@@ -4,9 +4,8 @@ Every error raised by :mod:`repro` derives from :class:`ReproError` so that
 callers can catch library failures without masking unrelated bugs.
 
 This module also hosts :func:`warn_once`, the shared once-per-process
-warning helper used by the store's deprecation shims and the native
-backend's no-compiler fallback (one registry instead of per-module
-``_warned`` sets).
+warning helper behind the native backend's no-compiler fallback (one
+registry instead of per-module ``_warned`` sets).
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ def warn_once(
     """Emit ``message`` at most once per process per ``key``.
 
     Returns ``True`` when the warning was actually emitted.  Keys are
-    namespaced by convention (``"deprecated-env:REPRO_TRACE_LRU"``,
-    ``"native:no-compiler"``) so callers can reset their own family via
-    :func:`reset_warn_once` without silencing anyone else's.
+    namespaced by convention (``"native:no-compiler"``) so callers can
+    reset their own family via :func:`reset_warn_once` without silencing
+    anyone else's.
     """
     if key in _warned_keys:
         return False
@@ -70,7 +69,8 @@ class ReproError(Exception):
 
 
 class ConfigurationError(ReproError, ValueError):
-    """Invalid machine parameters (width, latency, thread counts, ...)."""
+    """Invalid machine parameters or settings (width, latency, thread
+    counts, malformed ``REPRO_*`` variables, ...)."""
 
 
 class AllocationError(ReproError):

@@ -41,8 +41,7 @@ Pieces
     sweep result cache), keyed by a content hash of the warp program,
     the launch shape, and the memory pre-state.  Latency, policy,
     pipelining, and dispatch are *not* part of the key — that is the
-    whole point.  Pre-unification ``benchmarks/.trace_store`` files are
-    imported automatically on first use (see docs/STORAGE.md).
+    whole point.
 
 Safety
 ------
@@ -86,7 +85,6 @@ from repro.machine.memory import ArrayHandle, MemorySpace
 from repro.native import NATIVE_METRICS, native_kernels, resolve_backend
 from repro.store import ArtifactStore
 from repro.store import config as _store_config
-from repro.store.migrate import auto_migrate as _auto_migrate
 from repro.machine.ops import AccessKind, BarrierScope
 from repro.machine.pipeline import PipelinedMemoryUnit, UnitStats
 from repro.machine.policy import (
@@ -115,16 +113,6 @@ __all__ = [
     "reset_default_store",
 ]
 
-#: ``REPRO_TRACE_STORE=off`` disables on-disk trace persistence (the
-#: in-memory LRU stays on).  Deprecated alias of ``REPRO_STORE_TRACE``
-#: (see :mod:`repro.store.config`).
-TRACE_STORE_ENV = "REPRO_TRACE_STORE"
-#: Overrides the on-disk trace directory.  Deprecated alias of
-#: ``REPRO_STORE_TRACE_DIR``.
-TRACE_DIR_ENV = "REPRO_TRACE_STORE_DIR"
-#: Overrides the in-memory LRU capacity (entries).  Deprecated alias of
-#: ``REPRO_STORE_TRACE_LRU``.
-TRACE_LRU_ENV = "REPRO_TRACE_LRU"
 #: Overrides the per-launch capture cap (transactions; 0 = unlimited).
 CAPTURE_LIMIT_ENV = "REPRO_TRACE_CAPTURE_LIMIT"
 
@@ -1109,27 +1097,13 @@ class ReplayCostEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def trace_store_allowed() -> bool:
-    """False when ``REPRO_STORE``/``REPRO_STORE_TRACE`` (or the
-    deprecated ``REPRO_TRACE_STORE``) disables on-disk persistence."""
-    return _store_config.namespace_allowed("trace")
-
-
-def default_trace_dir() -> Path:
-    """Where the ``trace`` namespace's entries live:
-    ``$REPRO_STORE_TRACE_DIR`` (or the deprecated
-    ``$REPRO_TRACE_STORE_DIR``), else ``benchmarks/.store/trace`` under
-    the working directory — deliberately beside the sweep result cache."""
-    return _store_config.namespace_dir("trace")
-
-
 class _TraceCodec:
     """``CompiledTrace`` ↔ compressed ``.npz`` bytes.
 
     Named ``npz`` on purpose: the payload *is* a plain ``.npz`` archive
     (the byte format of :meth:`CompiledTrace.save`), so entries written
-    generically (the migration importer, the store CLI) and entries
-    written here are mutually readable.
+    generically (the store CLI) and entries written here are mutually
+    readable.
     """
 
     name = "npz"
@@ -1215,11 +1189,14 @@ class TraceStore:
         capture_limit: int | None = None,
         fingerprint: str | None = None,
     ) -> None:
-        explicit_dir = directory is not None
         self.directory = (
-            Path(directory) if explicit_dir else default_trace_dir()
+            Path(directory) if directory is not None
+            else _store_config.namespace_dir("trace")
         )
-        self.persist = trace_store_allowed() if persist is None else persist
+        self.persist = (
+            _store_config.namespace_allowed("trace") if persist is None
+            else persist
+        )
         if max_entries is None:
             max_entries = (
                 _store_config.namespace_int("trace", "LRU")
@@ -1240,13 +1217,6 @@ class TraceStore:
             persist=self.persist,
             max_memory_entries=self.max_entries,
             max_memory_bytes=None,  # entry-count LRU, as before
-        )
-        _auto_migrate(
-            self._ns,
-            None
-            if (explicit_dir
-                or _store_config.namespace_dir_overridden("trace"))
-            else _store_config.legacy_default_dir("trace"),
         )
         self._struct_sig: dict[str, tuple[str, str]] = {}
         self._keys_by_struct: dict[str, set[str]] = {}

@@ -8,9 +8,12 @@ exploits: concurrent requests for one spec coalesce into a single
 evaluation, so batched throughput scales with the *unique*-spec rate,
 not the request rate.
 
-:func:`run_config` boots a fresh :class:`~repro.service.server.BackgroundServer`
-with the given batching/caching knobs and drives it with ``clients``
-closed-loop asyncio clients for ``duration`` seconds.
+:func:`drive_url` drives any running endpoint — one server or a cluster
+router — with ``clients`` closed-loop asyncio clients for ``duration``
+seconds, recording per-request outcomes, and can fire an action (kill a
+shard) partway through.  :func:`run_config` boots a fresh
+:class:`~repro.service.server.BackgroundServer` with the given
+batching/caching knobs and drives it with :func:`drive_url`.
 :func:`run_comparison` runs the standard four-way experiment —
 unbatched vs micro-batched (both cache-cold and cache-off, isolating
 the batching win) and batched with the persistent cache cold vs warm —
@@ -25,14 +28,17 @@ import bisect
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.experiments.table1 import CONV_GRID, SUM_GRID
-from repro.service.client import AsyncServiceClient, ServiceError
+from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.protocol import DEFAULT_SEED
 from repro.service.server import BackgroundServer
 
 __all__ = [
+    "DriveResult",
     "table1_workload",
+    "drive_url",
     "run_config",
     "run_comparison",
     "render_comparison",
@@ -61,15 +67,43 @@ def _zipf_cdf(count: int, s: float) -> list[float]:
 
 
 @dataclass
-class _Stats:
-    latencies: list[float] = field(default_factory=list)
-    ok: int = 0
+class DriveResult:
+    """Outcome of one closed-loop run against one URL."""
+
+    requests: int = 0
     errors: int = 0
+    latencies: list = field(default_factory=list)
+    #: Measured wall time, including the requests still in flight at the
+    #: deadline.
+    duration_s: float = 0.0
+    seed: int = 0
+    zipf_s: float = 0.0
+    clients: int = 0
+
+    @property
+    def rps(self) -> float:
+        return self.requests / self.duration_s if self.duration_s else 0.0
+
+    def row(self, name: str) -> dict:
+        """A benchmark result row: the fields ``BENCH_cluster.json`` and
+        :func:`run_config` rows share."""
+        return {
+            "name": name,
+            "clients": self.clients,
+            "seed": self.seed,
+            "zipf_s": self.zipf_s,
+            "duration_s": round(self.duration_s, 3),
+            "requests": self.requests,
+            "errors": self.errors,
+            "rps": round(self.rps, 1),
+            "p50_ms": round(_percentile(self.latencies, 0.50) * 1e3, 2),
+            "p95_ms": round(_percentile(self.latencies, 0.95) * 1e3, 2),
+        }
 
 
 async def _client_loop(
     client: AsyncServiceClient, specs: list[dict], cdf: list[float],
-    rng: random.Random, stop_at: float, stats: _Stats,
+    rng: random.Random, stop_at: float, result: DriveResult,
 ) -> None:
     while time.monotonic() < stop_at:
         spec = specs[bisect.bisect_left(cdf, rng.random())]
@@ -79,10 +113,13 @@ async def _client_loop(
             await client.cost(spec["kernel"], spec["model"], params,
                               seed=DEFAULT_SEED)
         except ServiceError:
-            stats.errors += 1
+            # Includes Unavailable: the client's retries were exhausted,
+            # so this is a *client-visible* failure — exactly what the
+            # shard-kill acceptance criterion counts.
+            result.errors += 1
             continue
-        stats.latencies.append(time.monotonic() - started)
-        stats.ok += 1
+        result.latencies.append(time.monotonic() - started)
+        result.requests += 1
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -91,6 +128,53 @@ def _percentile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     idx = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
     return ordered[idx]
+
+
+def drive_url(
+    url: str,
+    *,
+    duration: float = 10.0,
+    clients: int = 64,
+    zipf_s: float = 2.5,
+    seed: int = 7,
+    model: str = "hmm",
+    mid_run: "Callable[[], None] | None" = None,
+    mid_run_at: float = 0.5,
+) -> DriveResult:
+    """Drive ``url`` closed-loop; optionally fire ``mid_run`` partway.
+
+    ``mid_run`` runs in a worker thread at ``mid_run_at`` (fraction of
+    ``duration``) — e.g. ``lambda: supervisor.kill_shard(1)`` for the
+    chaos benchmark.  ``seed`` fixes every client's sampling sequence,
+    so two runs with the same seed issue the same requests.
+    """
+    specs = table1_workload(model)
+    cdf = _zipf_cdf(len(specs), zipf_s)
+    result = DriveResult(seed=seed, zipf_s=zipf_s, clients=clients)
+
+    async def drive() -> None:
+        stop_at = time.monotonic() + duration
+        tasks = [
+            asyncio.ensure_future(_client_loop(
+                AsyncServiceClient(url),
+                specs, cdf, random.Random(seed * 10_000 + i),
+                stop_at, result,
+            ))
+            for i in range(clients)
+        ]
+        if mid_run is not None:
+            async def chaos() -> None:
+                await asyncio.sleep(duration * mid_run_at)
+                await asyncio.get_running_loop().run_in_executor(
+                    None, mid_run
+                )
+            tasks.append(asyncio.ensure_future(chaos()))
+        await asyncio.gather(*tasks)
+
+    started = time.monotonic()
+    asyncio.run(drive())
+    result.duration_s = time.monotonic() - started
+    return result
 
 
 def run_config(
@@ -110,47 +194,25 @@ def run_config(
 ) -> dict:
     """Boot a server with these knobs and drive it closed-loop.
 
-    Returns a result row: requests served, throughput, latency
-    quantiles, plus the server's own ``/metrics`` snapshot (batch sizes,
-    coalescing, evaluations, rejections, cache hit rate).
+    Returns a result row: requests served, throughput over the measured
+    run time, latency quantiles, plus the server's own ``/metrics``
+    snapshot (batch sizes, coalescing, evaluations, rejections, cache
+    hit rate).
     """
-    specs = table1_workload(model)
-    cdf = _zipf_cdf(len(specs), zipf_s)
     with BackgroundServer(
         cache=cache, cache_dir=cache_dir, coalesce=coalesce,
         max_batch_size=max_batch_size, max_wait_s=max_wait_s,
         max_queue=max_queue,
     ) as srv:
-        async def drive() -> tuple[_Stats, dict]:
-            stats = _Stats()
-            stop_at = time.monotonic() + duration
-            tasks = [
-                asyncio.ensure_future(_client_loop(
-                    AsyncServiceClient(srv.url), specs, cdf,
-                    random.Random(seed * 10_000 + i), stop_at, stats,
-                ))
-                for i in range(clients)
-            ]
-            await asyncio.gather(*tasks)
-            metrics = await AsyncServiceClient(srv.url).metrics()
-            return stats, metrics
-
-        stats, metrics = asyncio.run(drive())
-    elapsed = duration
+        result = drive_url(srv.url, duration=duration, clients=clients,
+                           zipf_s=zipf_s, seed=seed, model=model)
+        with ServiceClient(srv.url) as client:
+            metrics = client.metrics()
     batches = metrics["batches"]
     return {
-        "name": name,
+        **result.row(name),
         "max_batch_size": max_batch_size,
         "cache": cache,
-        "clients": clients,
-        "seed": seed,
-        "zipf_s": zipf_s,
-        "duration_s": elapsed,
-        "requests": stats.ok,
-        "errors": stats.errors,
-        "rps": stats.ok / elapsed if elapsed else 0.0,
-        "p50_ms": _percentile(stats.latencies, 0.50) * 1e3,
-        "p95_ms": _percentile(stats.latencies, 0.95) * 1e3,
         "evaluations": batches["unique_points"],
         "batch_count": batches["count"],
         "mean_batch": batches["mean_size"],

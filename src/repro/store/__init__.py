@@ -5,7 +5,7 @@ surface for every persisted artifact the reproduction produces: sweep
 measurements (namespace ``sweep``), compiled replay traces (``trace``),
 and autotune measurements (``tune``).  See docs/STORAGE.md for the
 architecture, the on-disk format, eviction and pinning, integrity
-checks, and migration from the three pre-unification cache dirs.
+checks, and the configuration knobs.
 
 The sweep executor (:mod:`repro.analysis.executor`), the trace replay
 engine (:mod:`repro.machine.replay`), and the tuner
@@ -23,7 +23,6 @@ from repro.store.codecs import (
     register_codec,
 )
 from repro.store.config import (
-    LEGACY_KNOBS,
     NAMESPACES,
     STORE_DIR_ENV,
     STORE_ENV,
@@ -39,11 +38,6 @@ from repro.store.metrics import (
     reset_store_metrics,
     store_metrics_snapshot,
 )
-from repro.store.migrate import (
-    MigrationReport,
-    auto_migrate,
-    migrate_legacy,
-)
 from repro.store.store import (
     ArtifactStore,
     Namespace,
@@ -56,8 +50,6 @@ __all__ = [
     "BytesCodec",
     "Codec",
     "JsonCodec",
-    "LEGACY_KNOBS",
-    "MigrationReport",
     "NAMESPACES",
     "Namespace",
     "NamespaceCounters",
@@ -67,11 +59,9 @@ __all__ = [
     "STORE_ENV",
     "STORE_METRICS",
     "StoreMetrics",
-    "auto_migrate",
     "content_key",
     "default_store_root",
     "get_codec",
-    "migrate_legacy",
     "namespace_allowed",
     "namespace_dir",
     "register_codec",

@@ -2,15 +2,11 @@
 
 ::
 
-    python -m repro.store migrate [--root DIR] [--sweep DIR] [--trace DIR]
-                                  [--tune DIR] [--remove]
-    python -m repro.store stats   [--root DIR]
-    python -m repro.store clear   [--root DIR] [--namespace NS]
+    python -m repro.store stats [--root DIR]
+    python -m repro.store clear [--root DIR] [--namespace NS]
 
-``migrate`` imports the legacy cache dirs (``benchmarks/.sweep_cache``,
-``benchmarks/.trace_store``, ``benchmarks/.tune_cache``) into the
-unified store; ``stats`` prints per-namespace contents; ``clear`` drops
-entries (one namespace, or all three standard ones).
+``stats`` prints per-namespace contents; ``clear`` drops entries (one
+namespace, or every standard one).
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import argparse
 import sys
 
 from repro.store.config import NAMESPACES
-from repro.store.migrate import migrate_legacy
 from repro.store.store import ArtifactStore
 
 _CODECS = {"sweep": "json", "trace": "npz", "tune": "json",
@@ -33,19 +28,6 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_migrate = sub.add_parser(
-        "migrate", help="import the legacy cache dirs into the store"
-    )
-    p_migrate.add_argument("--root", default=None, help="store root dir")
-    p_migrate.add_argument("--sweep", default=None,
-                           help="legacy sweep cache dir")
-    p_migrate.add_argument("--trace", default=None,
-                           help="legacy trace store dir")
-    p_migrate.add_argument("--tune", default=None,
-                           help="legacy tune cache dir")
-    p_migrate.add_argument("--remove", action="store_true",
-                           help="delete the legacy dirs after importing")
-
     p_stats = sub.add_parser("stats", help="print per-namespace contents")
     p_stats.add_argument("--root", default=None, help="store root dir")
 
@@ -55,14 +37,6 @@ def main(argv: "list[str] | None" = None) -> int:
                          help="only this namespace (default: all)")
 
     args = parser.parse_args(argv)
-
-    if args.command == "migrate":
-        report = migrate_legacy(
-            args.root, sweep_dir=args.sweep, trace_dir=args.trace,
-            tune_dir=args.tune, remove=args.remove,
-        )
-        print(report.describe())
-        return 0
 
     store = ArtifactStore(args.root)
     if args.command == "stats":

@@ -1,4 +1,4 @@
-"""Store configuration: the unified env knobs and their legacy shims.
+"""Store configuration: the env knobs of the unified artifact store.
 
 One family of variables governs the content-addressed artifact store
 (see :mod:`repro.store.store`):
@@ -23,22 +23,9 @@ One family of variables governs the content-addressed artifact store
                                   (default unlimited).
 =============================  =============================================
 
-The pre-unification knobs keep working — each one maps onto the matching
-per-namespace variable and emits a :class:`DeprecationWarning` the first
-time it is read in a process:
-
-==========================  =================================
-``REPRO_SWEEP_CACHE``       → ``REPRO_STORE_SWEEP``
-``REPRO_SWEEP_CACHE_DIR``   → ``REPRO_STORE_SWEEP_DIR``
-``REPRO_TRACE_STORE``       → ``REPRO_STORE_TRACE``
-``REPRO_TRACE_STORE_DIR``   → ``REPRO_STORE_TRACE_DIR``
-``REPRO_TRACE_LRU``         → ``REPRO_STORE_TRACE_LRU``
-``REPRO_TUNE_CACHE_DIR``    → ``REPRO_STORE_TUNE_DIR``
-==========================  =================================
-
-New variables win when both are set.  ``REPRO_SWEEP_FINGERPRINT`` is not
-deprecated: it overrides the cache-invalidation fingerprint for every
-namespace, exactly as before.
+A budget that is set but not an integer is a
+:class:`~repro.errors.ConfigurationError`.  ``REPRO_SWEEP_FINGERPRINT``
+overrides the cache-invalidation fingerprint for every namespace.
 """
 
 from __future__ import annotations
@@ -46,22 +33,18 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.errors import reset_warn_once, warn_once
+from repro.errors import ConfigurationError
 
 __all__ = [
     "STORE_ENV",
     "STORE_DIR_ENV",
     "NAMESPACES",
-    "LEGACY_KNOBS",
     "default_store_root",
     "store_allowed",
     "namespace_allowed",
     "namespace_dir",
-    "namespace_dir_overridden",
     "namespace_env",
     "namespace_int",
-    "legacy_default_dir",
-    "reset_deprecation_warnings",
 ]
 
 #: Global off switch for on-disk persistence.
@@ -76,68 +59,14 @@ NAMESPACES = ("sweep", "trace", "tune", "telemetry")
 
 _OFF = ("off", "0", "no")
 
-#: legacy-variable → (replacement-variable, kind) mapping, for the
-#: deprecation shim and the STORAGE.md reference table.
-LEGACY_KNOBS = {
-    "REPRO_SWEEP_CACHE": ("REPRO_STORE_SWEEP", "switch"),
-    "REPRO_SWEEP_CACHE_DIR": ("REPRO_STORE_SWEEP_DIR", "dir"),
-    "REPRO_TRACE_STORE": ("REPRO_STORE_TRACE", "switch"),
-    "REPRO_TRACE_STORE_DIR": ("REPRO_STORE_TRACE_DIR", "dir"),
-    "REPRO_TRACE_LRU": ("REPRO_STORE_TRACE_LRU", "lru"),
-    "REPRO_TUNE_CACHE_DIR": ("REPRO_STORE_TUNE_DIR", "dir"),
-}
 
-#: Default directories of the three pre-unification caches, relative to
-#: the benchmarks dir (or the cwd): migration sources.
-_LEGACY_DIRS = {
-    "sweep": ".sweep_cache",
-    "trace": ".trace_store",
-    "tune": ".tune_cache",
-}
-
-#: warn-once key prefix for the deprecation shims (shared registry in
-#: :mod:`repro.errors`; the native backend uses its own ``native:`` keys).
-_WARN_PREFIX = "deprecated-env:"
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which legacy knobs already warned (tests only)."""
-    reset_warn_once(_WARN_PREFIX)
-
-
-def _legacy_env(legacy_name: str) -> str | None:
-    """Read a deprecated variable, warning once per process."""
-    value = os.environ.get(legacy_name)
-    if value is not None:
-        replacement, _ = LEGACY_KNOBS[legacy_name]
-        warn_once(
-            _WARN_PREFIX + legacy_name,
-            f"{legacy_name} is deprecated; use {replacement} "
-            "(see docs/STORAGE.md)",
-            category=DeprecationWarning,
-            stacklevel=4,
-        )
-    return value
+def _namespace_var(namespace: str, suffix: str = "") -> str:
+    return f"REPRO_STORE_{namespace.upper()}" + (f"_{suffix}" if suffix else "")
 
 
 def namespace_env(namespace: str, suffix: str = "") -> str | None:
-    """``REPRO_STORE_<NS>[_<suffix>]``, falling back to the legacy knob."""
-    new_name = f"REPRO_STORE_{namespace.upper()}" + (
-        f"_{suffix}" if suffix else ""
-    )
-    value = os.environ.get(new_name)
-    if value is not None:
-        return value
-    kind = {"": "switch", "DIR": "dir", "LRU": "lru"}.get(suffix)
-    for legacy_name, (replacement, legacy_kind) in LEGACY_KNOBS.items():
-        if replacement == new_name and legacy_kind == kind:
-            return _legacy_env(legacy_name)
-    return None
-
-
-def _bench_relative(leaf: str) -> Path:
-    bench = Path.cwd() / "benchmarks"
-    return (bench if bench.is_dir() else Path.cwd()) / leaf
+    """The value of ``REPRO_STORE_<NS>[_<suffix>]``, or ``None``."""
+    return os.environ.get(_namespace_var(namespace, suffix))
 
 
 def default_store_root() -> Path:
@@ -146,7 +75,8 @@ def default_store_root() -> Path:
     env = os.environ.get(STORE_DIR_ENV)
     if env:
         return Path(env)
-    return _bench_relative(".store")
+    bench = Path.cwd() / "benchmarks"
+    return (bench if bench.is_dir() else Path.cwd()) / ".store"
 
 
 def store_allowed() -> bool:
@@ -156,7 +86,7 @@ def store_allowed() -> bool:
 
 def namespace_allowed(namespace: str) -> bool:
     """May this namespace persist?  Honors the global and per-namespace
-    off switches (and the legacy one, with a deprecation warning)."""
+    off switches."""
     if not store_allowed():
         return False
     value = namespace_env(namespace)
@@ -165,17 +95,12 @@ def namespace_allowed(namespace: str) -> bool:
     return value.strip().lower() not in _OFF
 
 
-def namespace_dir_overridden(namespace: str) -> bool:
-    """Is this namespace's directory pinned by an env variable?"""
-    return namespace_env(namespace, "DIR") is not None
-
-
 def namespace_dir(namespace: str, root: "Path | str | None" = None) -> Path:
     """Where one namespace's entries live.
 
-    A per-namespace dir override (new or legacy variable) wins and is
-    used *directly*; otherwise ``<root>/<namespace>`` under ``root``
-    (default :func:`default_store_root`).
+    A per-namespace dir override wins and is used *directly*; otherwise
+    ``<root>/<namespace>`` under ``root`` (default
+    :func:`default_store_root`).
     """
     env = namespace_env(namespace, "DIR")
     if env:
@@ -185,18 +110,15 @@ def namespace_dir(namespace: str, root: "Path | str | None" = None) -> Path:
 
 
 def namespace_int(namespace: str, suffix: str) -> int | None:
-    """An integer per-namespace knob (LRU / MAX_BYTES / MAX_ENTRIES)."""
+    """An integer per-namespace knob (LRU / MAX_BYTES / MAX_ENTRIES);
+    ``None`` when unset or empty."""
     raw = namespace_env(namespace, suffix)
     if raw is None or not raw.strip():
         return None
     try:
         return int(raw)
     except ValueError:
-        return None
-
-
-def legacy_default_dir(namespace: str) -> Path | None:
-    """The pre-unification default directory of a namespace (a migration
-    source), or ``None`` for namespaces that never had one."""
-    leaf = _LEGACY_DIRS.get(namespace)
-    return _bench_relative(leaf) if leaf else None
+        raise ConfigurationError(
+            f"${_namespace_var(namespace, suffix)} must be an integer, "
+            f"got {raw!r}"
+        ) from None

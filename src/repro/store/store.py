@@ -613,9 +613,8 @@ class ArtifactStore:
     ) -> Namespace:
         """Open one namespace view.
 
-        ``directory`` pins the entry directory (back-compat with the
-        legacy per-cache dir knobs); otherwise the env override or
-        ``<root>/<name>`` applies.  Memory/disk budgets default from the
+        ``directory`` pins the entry directory; otherwise the env
+        override or ``<root>/<name>`` applies.  Memory/disk budgets default from the
         ``REPRO_STORE_<NS>_{LRU,MAX_ENTRIES,MAX_BYTES}`` variables.
         """
         if directory is not None:

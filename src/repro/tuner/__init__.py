@@ -34,7 +34,6 @@ from repro.tuner.tuner import (
     DEFAULT_LATENCIES,
     CandidateResult,
     TuneReport,
-    default_tune_cache_dir,
     measure_candidate,
     resolve_tune_mode,
     tune,
@@ -72,7 +71,6 @@ __all__ = [
     "TuneReport",
     "CandidateResult",
     "DEFAULT_LATENCIES",
-    "default_tune_cache_dir",
     "resolve_tune_mode",
     "measure_candidate",
 ]

@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis.advisor import Advice, diagnose
-from repro.store import config as _store_config
 from repro.analysis.executor import SweepExecutor
 from repro.errors import ConfigurationError
 from repro.machine.engine import resolve_mode
@@ -41,8 +40,6 @@ from repro.tuner.search import STRATEGIES, make_strategy
 
 __all__ = [
     "DEFAULT_LATENCIES",
-    "TUNE_CACHE_DIR_ENV",
-    "default_tune_cache_dir",
     "resolve_tune_mode",
     "measure_candidate",
     "CandidateResult",
@@ -52,18 +49,6 @@ __all__ = [
 
 #: Latency grid a candidate is costed over (objective = sum of cycles).
 DEFAULT_LATENCIES = (4, 16, 64)
-
-#: Deprecated alias of ``REPRO_STORE_TUNE_DIR`` (see docs/STORAGE.md).
-TUNE_CACHE_DIR_ENV = "REPRO_TUNE_CACHE_DIR"
-
-
-def default_tune_cache_dir() -> Path:
-    """Where tune measurements live: the ``tune`` namespace of the
-    unified artifact store — ``$REPRO_STORE_TUNE_DIR`` (or the
-    deprecated ``$REPRO_TUNE_CACHE_DIR``), else ``benchmarks/.store/tune``
-    under the working directory."""
-    return _store_config.namespace_dir("tune")
-
 
 def resolve_tune_mode(task: TuneTask, mode: str) -> str:
     """``"auto"`` becomes replay for oblivious tasks, batch otherwise."""

@@ -139,7 +139,7 @@ class TestCache:
         self, cache_dir, count_file, monkeypatch
     ):
         run_sweep(cheap_measure, POINTS, cache=True, cache_dir=cache_dir)
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
+        monkeypatch.setenv("REPRO_STORE_SWEEP", "off")
         run_sweep(cheap_measure, POINTS, cache=True, cache_dir=cache_dir)
         assert _invocations(count_file) == 2 * len(POINTS)
 
@@ -197,31 +197,6 @@ class TestCache:
         # ...after being quarantined, not deleted.
         quarantined = list((cache_dir / "quarantine").iterdir())
         assert [p.name for p in quarantined] == [victim.name]
-
-    def test_legacy_shards_upgraded_in_place(self, cache_dir, count_file):
-        """A cache dir holding pre-unification ``shard_*.jsonl`` files
-        keeps answering: entries are imported on first open."""
-        cold = SweepExecutor(
-            cache=True, cache_dir=cache_dir, fingerprint="F"
-        )
-        cold.run(cheap_measure, POINTS)
-        assert _invocations(count_file) == len(POINTS)
-        # Rewrite the store entries as one legacy JSON-lines shard.
-        entries = []
-        for path in cache_dir.glob("*.json"):
-            entries.append(json.loads(path.read_bytes().split(b"\n", 1)[1]))
-            path.unlink()
-        (cache_dir / ".migrated").unlink(missing_ok=True)
-        (cache_dir / "shard_ab.jsonl").write_text(
-            "\n".join(json.dumps(e) for e in entries) + "\n"
-        )
-
-        warm = SweepExecutor(
-            cache=True, cache_dir=cache_dir, fingerprint="F"
-        )
-        warm.run(cheap_measure, POINTS)
-        assert _invocations(count_file) == len(POINTS)  # all hits
-        assert warm.cache.hits == len(POINTS)
 
     def test_clear_and_stats(self, cache_dir):
         ex = SweepExecutor(cache=True, cache_dir=cache_dir, fingerprint="F")

@@ -37,8 +37,8 @@ X64 = RNG.standard_normal(64)
 @pytest.fixture(autouse=True)
 def isolated_store(tmp_path, monkeypatch):
     """Every test gets a private on-disk store and a fresh singleton."""
-    monkeypatch.setenv("REPRO_TRACE_STORE_DIR", str(tmp_path / "traces"))
-    monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+    monkeypatch.setenv("REPRO_STORE_TRACE_DIR", str(tmp_path / "traces"))
+    monkeypatch.delenv("REPRO_STORE_TRACE", raising=False)
     monkeypatch.delenv("REPRO_TRACE_CAPTURE_LIMIT", raising=False)
     reset_default_store()
     yield
@@ -284,7 +284,7 @@ class TestTraceStorePersistence:
         assert stats.hits_disk == 1 and stats.captures == 0
 
     def test_store_off_disables_disk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+        monkeypatch.setenv("REPRO_STORE_TRACE", "off")
         reset_default_store()
         m = DMM(MachineParams(width=4, latency=5), mode="replay")
         m.sum(X256, 32)

@@ -34,7 +34,7 @@ from conftest import make_dmm
 
 @pytest.fixture(autouse=True)
 def _isolated_store(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_STORE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_STORE_TRACE_DIR", str(tmp_path / "traces"))
     reset_default_store()
     yield
     reset_default_store()

@@ -90,9 +90,9 @@ def server(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("tune-service")
     saved = {k: os.environ.get(k)
-             for k in ("REPRO_TRACE_STORE_DIR", "REPRO_TUNE_CACHE_DIR")}
-    os.environ["REPRO_TRACE_STORE_DIR"] = str(root / "traces")
-    os.environ["REPRO_TUNE_CACHE_DIR"] = str(root / "tune_cache")
+             for k in ("REPRO_STORE_TRACE_DIR", "REPRO_STORE_TUNE_DIR")}
+    os.environ["REPRO_STORE_TRACE_DIR"] = str(root / "traces")
+    os.environ["REPRO_STORE_TUNE_DIR"] = str(root / "tune_cache")
     reset_default_store()
     try:
         with BackgroundServer(cache=False) as srv:

@@ -1,36 +1,32 @@
 """The unified artifact store: keys, tiers, integrity, eviction,
-pinning, metrics, migration, env shims, and the maintenance CLI."""
+pinning, metrics, env knobs, and the maintenance CLI."""
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.store import (
     ArtifactStore,
     STORE_METRICS,
     content_key,
-    migrate_legacy,
     reset_store_metrics,
     store_metrics_snapshot,
 )
 from repro.store import config as store_config
-from repro.store.migrate import MARKER_NAME, auto_migrate
 from repro.store.store import ENVELOPE_MAGIC
 
 
 @pytest.fixture(autouse=True)
 def _fresh_metrics():
     reset_store_metrics()
-    store_config.reset_deprecation_warnings()
     yield
     reset_store_metrics()
 
@@ -293,120 +289,8 @@ class TestMetrics:
         assert store_metrics_snapshot()["sweep"]["puts"] == 0
 
 
-class TestMigration:
-    def _legacy_sweep_dir(self, tmp_path, entries) -> Path:
-        legacy = tmp_path / "legacy_sweep"
-        legacy.mkdir()
-        lines = [
-            json.dumps({"key": k, "fingerprint": "F", "cycles": c,
-                        "extra": {}})
-            for k, c in entries
-        ]
-        (legacy / "shard_ab.jsonl").write_text("\n".join(lines) + "\n")
-        return legacy
-
-    def test_jsonl_migration_imports_last_wins(self, tmp_path, store):
-        key = content_key("dup")
-        legacy = self._legacy_sweep_dir(
-            tmp_path, [(key, 1), (key, 2)]  # same key twice: last wins
-        )
-        report = migrate_legacy(store.resolve_root(), sweep_dir=legacy)
-        assert report.imported["sweep"] == 1
-        assert store.namespace("sweep").get(key)["cycles"] == 2
-
-    def test_migration_idempotent(self, tmp_path, store):
-        keys = _keys(3)
-        legacy = self._legacy_sweep_dir(
-            tmp_path, [(k, i) for i, k in enumerate(keys)]
-        )
-        first = migrate_legacy(store.resolve_root(), sweep_dir=legacy)
-        second = migrate_legacy(store.resolve_root(), sweep_dir=legacy)
-        assert first.imported["sweep"] == 3
-        assert second.imported.get("sweep", 0) == 0
-        assert second.skipped["sweep"] == 3
-        ns = store.namespace("sweep")
-        assert sorted(k for k, _ in ns.scan()) == sorted(keys)
-
-    def test_npz_migration(self, tmp_path, store):
-        legacy = tmp_path / "legacy_trace"
-        legacy.mkdir()
-        key = content_key("trace")
-        with open(legacy / f"{key}.npz", "wb") as fh:
-            np.savez_compressed(fh, a=np.arange(4))
-        report = migrate_legacy(store.resolve_root(), trace_dir=legacy)
-        assert report.imported["trace"] == 1
-        got = store.namespace("trace", "npz").get(key)
-        assert np.array_equal(got["a"], np.arange(4))
-
-    def test_corrupt_legacy_lines_skipped(self, tmp_path, store):
-        key = content_key("good")
-        legacy = tmp_path / "legacy_sweep"
-        legacy.mkdir()
-        (legacy / "shard_ab.jsonl").write_text(
-            "not json at all\n"
-            + json.dumps({"key": key, "fingerprint": "F", "cycles": 5,
-                          "extra": {}})
-            + "\n{\"key\": \"truncat"
-        )
-        migrate_legacy(store.resolve_root(), sweep_dir=legacy)
-        assert store.namespace("sweep").get(key)["cycles"] == 5
-
-    def test_remove_deletes_source(self, tmp_path, store):
-        legacy = self._legacy_sweep_dir(tmp_path, [(content_key("x"), 1)])
-        migrate_legacy(store.resolve_root(), sweep_dir=legacy, remove=True)
-        assert not legacy.exists()
-
-    def test_auto_migrate_once_via_marker(self, tmp_path, store):
-        keys = _keys(2)
-        legacy = self._legacy_sweep_dir(
-            tmp_path, [(k, i) for i, k in enumerate(keys)]
-        )
-        ns = store.namespace("sweep")
-        auto_migrate(ns, legacy)
-        assert (ns.directory / MARKER_NAME).exists()
-        assert len(list(ns.scan())) == 2
-        # Marker present: a second pass ignores new legacy content.
-        (legacy / "shard_cd.jsonl").write_text(
-            json.dumps({"key": content_key("late"), "fingerprint": "F",
-                        "cycles": 9, "extra": {}}) + "\n"
-        )
-        auto_migrate(store.namespace("sweep"), legacy)
-        assert len(list(store.namespace("sweep").scan())) == 2
-
-    def test_auto_migrate_upgrades_in_place(self, tmp_path):
-        # A dir override pointing at an old-format cache dir: the files
-        # are upgraded where they are.
-        key = content_key("inplace")
-        legacy = self._legacy_sweep_dir(tmp_path, [(key, 3)])
-        ns = ArtifactStore(tmp_path).namespace(
-            "sweep", directory=legacy
-        )
-        auto_migrate(ns, None)
-        assert ns.get(key)["cycles"] == 3
-
-    def test_auto_migrate_nothing_creates_nothing(self, tmp_path, store):
-        ns = store.namespace("sweep")
-        auto_migrate(ns, tmp_path / "does-not-exist")
-        assert not ns.directory.exists()
-
-
 class TestEnvShims:
-    def test_legacy_dir_var_maps_and_warns_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path / "legacy"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert store_config.namespace_dir("sweep") == tmp_path / "legacy"
-            store_config.namespace_dir("sweep")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "REPRO_STORE_SWEEP_DIR" in str(deprecations[0].message)
-
-    def test_new_var_wins_over_legacy(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path / "old"))
-        monkeypatch.setenv("REPRO_STORE_SWEEP_DIR", str(tmp_path / "new"))
-        assert store_config.namespace_dir("sweep") == tmp_path / "new"
+    """The ``REPRO_STORE_*`` knobs (see :mod:`repro.store.config`)."""
 
     def test_global_and_namespace_switches(self, monkeypatch):
         assert store_config.namespace_allowed("sweep")
@@ -416,10 +300,6 @@ class TestEnvShims:
         monkeypatch.setenv("REPRO_STORE", "off")
         assert not store_config.namespace_allowed("trace")
 
-    def test_legacy_switch_maps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
-        assert not store_config.namespace_allowed("trace")
-
     def test_store_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "root"))
         assert store_config.default_store_root() == tmp_path / "root"
@@ -427,12 +307,32 @@ class TestEnvShims:
             store_config.namespace_dir("tune")
             == tmp_path / "root" / "tune"
         )
+        # A per-namespace dir is used directly, outside the root.
+        monkeypatch.setenv("REPRO_STORE_SWEEP_DIR", str(tmp_path / "new"))
+        assert store_config.namespace_dir("sweep") == tmp_path / "new"
 
-    def test_lru_knob_with_legacy_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_LRU", "7")
-        assert store_config.namespace_int("trace", "LRU") == 7
+    def test_lru_knob(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE_TRACE_LRU", raising=False)
+        assert store_config.namespace_int("trace", "LRU") is None
         monkeypatch.setenv("REPRO_STORE_TRACE_LRU", "9")
         assert store_config.namespace_int("trace", "LRU") == 9
+        monkeypatch.setenv("REPRO_STORE_TRACE_LRU", " ")
+        assert store_config.namespace_int("trace", "LRU") is None
+
+    @pytest.mark.parametrize("suffix,value", [
+        ("LRU", "abc"),
+        ("MAX_ENTRIES", "1e3"),
+        ("MAX_BYTES", "10MB"),
+    ])
+    def test_malformed_budget_rejected(self, tmp_path, monkeypatch,
+                                       suffix, value):
+        name = f"REPRO_STORE_TRACE_{suffix}"
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ConfigurationError, match=name):
+            store_config.namespace_int("trace", suffix)
+        # Opening the namespace fails too, instead of running unbounded.
+        with pytest.raises(ConfigurationError, match=name):
+            ArtifactStore(tmp_path).namespace("trace", "npz")
 
 
 class TestMaintenance:
@@ -460,20 +360,19 @@ class TestMaintenance:
         assert not ns.delete(k0)
         assert ns.contains(k1) and not ns.contains(k0)
 
-    def test_cli_migrate_stats_clear(self, tmp_path):
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        key = content_key("cli")
-        (legacy / "shard_ab.jsonl").write_text(
-            json.dumps({"key": key, "fingerprint": "F", "cycles": 1,
-                        "extra": {}}) + "\n"
-        )
+    def test_cli_migrate_stats_clear(self, tmp_path, capsys):
         from repro.store.__main__ import main
 
         root = tmp_path / "root"
-        assert main(["migrate", "--root", str(root),
-                     "--sweep", str(legacy)]) == 0
+        # The one-shot legacy import is gone from the CLI.
+        with pytest.raises(SystemExit) as exc:
+            main(["migrate", "--root", str(root)])
+        assert exc.value.code == 2
+        ArtifactStore(root).namespace("sweep").put(
+            content_key("cli"), {"cycles": 1}
+        )
         assert main(["stats", "--root", str(root)]) == 0
+        assert "sweep: 0 in memory / 1 on disk" in capsys.readouterr().out
         assert main(["clear", "--root", str(root),
                      "--namespace", "sweep"]) == 0
         ns = ArtifactStore(root).namespace("sweep")

@@ -161,7 +161,7 @@ class TestCLISweepFlags:
     @pytest.fixture(autouse=True)
     def _isolated_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv(
-            "REPRO_SWEEP_CACHE_DIR", str(tmp_path / "sweep_cache")
+            "REPRO_STORE_SWEEP_DIR", str(tmp_path / "sweep_cache")
         )
 
     def test_table2_json_smoke_schema(self, capsys, tmp_path):

@@ -19,8 +19,8 @@ LATS = (3, 9)
 @pytest.fixture(autouse=True)
 def _isolated_stores(tmp_path, monkeypatch):
     """Private trace store and tune cache per test."""
-    monkeypatch.setenv("REPRO_TRACE_STORE_DIR", str(tmp_path / "traces"))
-    monkeypatch.setenv("REPRO_TUNE_CACHE_DIR", str(tmp_path / "tune_cache"))
+    monkeypatch.setenv("REPRO_STORE_TRACE_DIR", str(tmp_path / "traces"))
+    monkeypatch.setenv("REPRO_STORE_TUNE_DIR", str(tmp_path / "tune_cache"))
     reset_default_store()
     yield
     reset_default_store()

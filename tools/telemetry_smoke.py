@@ -64,8 +64,8 @@ def main() -> int:  # noqa: C901 - one linear smoke script
     os.environ["REPRO_STORE_DIR"] = os.path.join(tmp, "store")
 
     from repro.cluster import BackgroundCluster
-    from repro.cluster.loadgen import drive_url
     from repro.service.client import ServiceClient
+    from repro.service.loadgen import drive_url
     from repro.telemetry import sse_events
     from repro.viz import render_dashboard
 

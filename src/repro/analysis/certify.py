@@ -115,21 +115,33 @@ def trace_signature(trace: TraceRecorder) -> str:
 
     Covers, per transaction: the issuing warp, its DMM, the unit,
     read/write kind, request count and the exact (distinct, sorted)
-    addresses — plus every barrier event's scope and DMM.  Transactions
-    are digested grouped by warp in program order, *not* in global
-    dispatch order: the cross-warp interleaving is a scheduling
-    artifact that shifts with the latency, while each warp's own stream
-    is what the kernel determines.  Timing and slot counts are likewise
-    excluded — they are derived from the addresses by the policy.  A
-    signature over the causes rather than the costs is what makes
-    "identical streams" mean identical re-pricing under any latency or
-    policy.
+    addresses — plus the scope of every barrier the warp arrives at.
+    Each warp's transactions and barrier arrivals are digested in that
+    warp's program order, *not* in global dispatch order: the
+    cross-warp interleaving (and so the order of barrier releases) is a
+    scheduling artifact that shifts with the latency and the dispatch
+    policy, while each warp's own stream is what the kernel determines.
+    Timing and slot counts are likewise excluded — they are derived
+    from the addresses by the policy.  A signature over the causes
+    rather than the costs is what makes "identical streams" mean
+    identical re-pricing under any latency, policy or dispatch order.
     """
     per_warp: dict[int, hashlib._Hash] = {}
-    for rec in trace.records:
-        h = per_warp.get(rec.warp_id)
+
+    def digest(warp_id: int) -> "hashlib._Hash":
+        h = per_warp.get(warp_id)
         if h is None:
-            h = per_warp[rec.warp_id] = hashlib.sha256()
+            h = per_warp[warp_id] = hashlib.sha256()
+        return h
+
+    arrivals = iter(trace.arrivals)
+    arrival = next(arrivals, None)
+    for i, rec in enumerate(trace.records):
+        # Arrivals recorded before transaction i precede it.
+        while arrival is not None and arrival[2] <= i:
+            digest(arrival[0]).update(f"B:{arrival[1].value};".encode())
+            arrival = next(arrivals, None)
+        h = digest(rec.warp_id)
         h.update(
             f"T:{rec.dmm_id}:{rec.unit}:{rec.kind.value}:"
             f"{rec.num_requests}:".encode()
@@ -137,12 +149,13 @@ def trace_signature(trace: TraceRecorder) -> str:
         h.update(np.ascontiguousarray(rec.addresses,
                                       dtype=np.int64).tobytes())
         h.update(b";")
+    while arrival is not None:
+        digest(arrival[0]).update(f"B:{arrival[1].value};".encode())
+        arrival = next(arrivals, None)
     top = hashlib.sha256()
     for warp_id in sorted(per_warp):
         top.update(f"W:{warp_id}:".encode())
         top.update(per_warp[warp_id].digest())
-    for scope, dmm_id, _time in trace.barrier_events:
-        top.update(f"B:{scope.value}:{dmm_id};".encode())
     return top.hexdigest()
 
 

@@ -73,6 +73,7 @@ import heapq
 import io
 import json
 import os
+import threading
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,6 +84,7 @@ import numpy as np
 from repro.errors import KernelError, TraceOverflowError
 from repro.machine.memory import ArrayHandle, MemorySpace
 from repro.native import NATIVE_METRICS, native_kernels, resolve_backend
+from repro.native.cdefs import KERNELS as _NATIVE_KERNELS
 from repro.store import ArtifactStore
 from repro.store import config as _store_config
 from repro.machine.ops import AccessKind, BarrierScope
@@ -666,22 +668,30 @@ _NATIVE_POLICY_CODES = {DMMBankPolicy: 0, UMMGroupPolicy: 1, IdealPolicy: 2}
 class _SlotTable:
     """Per-op slot counts for one policy set, in both shapes.
 
-    The native kernel wants the int64 array; the Python loop wants a
-    plain list (materialized lazily — the native path never pays for
-    it).  ``per_unit`` holds the latency-independent slot tallies.
+    The native kernel wants a typed pointer to the int64 array; the
+    Python loop wants a plain list.  Each is made lazily, once — neither
+    backend pays for the other's.  ``per_unit`` holds the
+    latency-independent slot tallies.
     """
 
-    __slots__ = ("array", "per_unit", "_list")
+    __slots__ = ("array", "per_unit", "_list", "_pointer")
 
     def __init__(self, array: np.ndarray, per_unit: list[dict]) -> None:
         self.array = array
         self.per_unit = per_unit
         self._list: "list[int] | None" = None
+        self._pointer = None
 
     def as_list(self) -> list[int]:
         if self._list is None:
             self._list = self.array.tolist()
         return self._list
+
+    def as_pointer(self):
+        if self._pointer is None:
+            self._pointer = _NATIVE_KERNELS["repro_replay_price"].pointers(
+                slots=self.array)["slots"]
+        return self._pointer
 
 
 class ReplayCostEvaluator:
@@ -754,6 +764,10 @@ class ReplayCostEvaluator:
         self._slots_cache: dict[tuple, _SlotTable] = {}
         self._py_lists: "tuple | None" = None
         self._native_buf: "dict | None" = None
+        #: One native pricing at a time: it fills and reads the
+        #: evaluator's own latency/output buffers (the kernel call
+        #: releases the GIL).
+        self._native_lock = threading.Lock()
 
     # -- lazy per-backend decode -------------------------------------------
     def _python_lists(self) -> tuple:
@@ -774,7 +788,13 @@ class ReplayCostEvaluator:
         return self._py_lists
 
     def _native_buffers(self) -> dict:
-        """Contiguous typed buffers for ``repro_replay_price``."""
+        """The evaluator's buffers for the native kernels, validated
+        (dtype, C-contiguity) and converted to typed pointers once.
+
+        ``buf["io"]`` holds the arrays behind the per-call latencies,
+        pipelining flags and outputs, filled and read under
+        :attr:`_native_lock`.
+        """
         if self._native_buf is None:
             trace = self.trace
             n_warps = len(self._warp_ids)
@@ -788,23 +808,36 @@ class ReplayCostEvaluator:
                 if g is None:
                     g = group_of[dmm] = len(group_of) + 1
                 warp_group[x] = g
-            self._native_buf = {
-                "warp_ids": ids,
-                "warp_group": warp_group,
-                "n_groups": len(group_of) + 1,
-                "wid_order": np.argsort(ids, kind="stable").astype(
+            n_units = len(self._unit_names)
+            io = {
+                "latency": np.zeros(n_units, dtype=np.int64),
+                "pipelined": np.zeros(n_units, dtype=np.uint8),
+                "out_scalars": np.zeros(4, dtype=np.int64),
+                "out_busy": np.zeros(n_units, dtype=np.int64),
+                "out_last": np.zeros(n_units, dtype=np.int64),
+            }
+            buf = _NATIVE_KERNELS["repro_replay_price"].pointers(
+                warp_ids=ids,
+                warp_group=warp_group,
+                wid_order=np.argsort(ids, kind="stable").astype(
                     np.int64, copy=False
                 ),
-                "op_kind": np.ascontiguousarray(trace.op_kind, dtype=np.int8),
-                "op_unit": np.ascontiguousarray(trace.op_unit, dtype=np.int16),
-                "op_arg": np.ascontiguousarray(trace.op_arg, dtype=np.int64),
-                "addr_off": np.ascontiguousarray(
-                    trace.addr_off, dtype=np.int64
-                ),
-                "addresses": np.ascontiguousarray(
+                stream_off=self._stream_off,
+                stream_ops=self._stream_ops,
+                op_kind=np.ascontiguousarray(trace.op_kind, dtype=np.int8),
+                op_unit=np.ascontiguousarray(trace.op_unit, dtype=np.int16),
+                op_arg=np.ascontiguousarray(trace.op_arg, dtype=np.int64),
+                **io,
+            )
+            buf.update(_NATIVE_KERNELS["repro_slot_counts"].pointers(
+                addr_off=np.ascontiguousarray(trace.addr_off, dtype=np.int64),
+                addresses=np.ascontiguousarray(
                     trace.addresses, dtype=np.int64
                 ),
-            }
+            ))
+            buf["n_groups"] = len(group_of) + 1
+            buf["io"] = io
+            self._native_buf = buf
         return self._native_buf
 
     # -- slot counting (vectorized, cached per policy set) -----------------
@@ -864,31 +897,35 @@ class ReplayCostEvaluator:
         dispatch: str,
     ) -> "tuple[SchedulerResult, dict[str, UnitStats]] | None":
         buf = self._native_buffers()
+        io = buf["io"]
         n_units = len(self._unit_names)
-        out_scalars = np.zeros(4, dtype=np.int64)
-        out_busy = np.zeros(n_units, dtype=np.int64)
-        out_last = np.zeros(n_units, dtype=np.int64)
-        rc = kernels["repro_replay_price"](
-            len(self._warp_ids),
-            buf["warp_ids"],
-            buf["warp_group"],
-            buf["wid_order"],
-            self._stream_off,
-            self._stream_ops,
-            buf["op_kind"],
-            buf["op_unit"],
-            buf["op_arg"],
-            table.array,
-            n_units,
-            np.asarray(lat, dtype=np.int64),
-            np.asarray([1 if x else 0 for x in pip], dtype=np.uint8),
-            buf["n_groups"],
-            1 if dispatch == "round-robin" else 0,
-            _SCOPE_DEVICE,
-            out_scalars,
-            out_busy,
-            out_last,
-        )
+        with self._native_lock:
+            io["latency"][:] = lat
+            io["pipelined"][:] = pip
+            rc = kernels["repro_replay_price"](
+                len(self._warp_ids),
+                buf["warp_ids"],
+                buf["warp_group"],
+                buf["wid_order"],
+                buf["stream_off"],
+                buf["stream_ops"],
+                buf["op_kind"],
+                buf["op_unit"],
+                buf["op_arg"],
+                table.as_pointer(),
+                n_units,
+                buf["latency"],
+                buf["pipelined"],
+                buf["n_groups"],
+                1 if dispatch == "round-robin" else 0,
+                _SCOPE_DEVICE,
+                buf["out_scalars"],
+                buf["out_busy"],
+                buf["out_last"],
+            )
+            out_scalars = io["out_scalars"].tolist()
+            out_busy = io["out_busy"].tolist()
+            out_last = io["out_last"].tolist()
         if rc != 0:  # pragma: no cover - allocation failure only
             return None
         NATIVE_METRICS.native_calls += 1
@@ -904,14 +941,14 @@ class ReplayCostEvaluator:
                 slots=st["slots"],
                 conflicted_transactions=st["conflicted"],
                 excess_slots=st["excess"],
-                port_busy_until=int(out_busy[u]),
-                last_complete=int(out_last[u]),
+                port_busy_until=out_busy[u],
+                last_complete=out_last[u],
             )
         result = SchedulerResult(
-            cycles=int(out_scalars[0]),
-            compute_ops=int(out_scalars[1]),
-            compute_cycles=int(out_scalars[2]),
-            barrier_releases=int(out_scalars[3]),
+            cycles=out_scalars[0],
+            compute_ops=out_scalars[1],
+            compute_cycles=out_scalars[2],
+            barrier_releases=out_scalars[3],
         )
         return result, stats
 

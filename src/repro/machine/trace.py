@@ -20,9 +20,9 @@ The recorder also defines the hook surface the scheduler drives:
 :meth:`TraceRecorder.record` (one memory transaction),
 :meth:`TraceRecorder.record_compute` (one warp compute step) and
 :meth:`TraceRecorder.record_arrival` (one warp reaching a barrier).  The
-base class only stores transactions; the trace-replay compiler
-(:class:`repro.machine.replay.TraceCompiler`) overrides all three to
-capture complete per-warp operation streams.
+base class stores transactions and barrier arrivals; the trace-replay
+compiler (:class:`repro.machine.replay.TraceCompiler`) overrides all
+three to capture complete per-warp operation streams.
 """
 
 from __future__ import annotations
@@ -113,6 +113,11 @@ class TraceRecorder:
             )
         self.max_transactions = max_transactions
         self.records: list[TransactionRecord] = []
+        #: ``(warp_id, scope, transactions recorded before it)`` per
+        #: barrier arrival, in dispatch order: restricted to one warp,
+        #: its arrivals interleave with its records in program order.
+        self.arrivals: list[tuple[int, BarrierScope, int]] = []
+        #: ``(scope, dmm_id, time)`` per barrier release.
         self.barrier_events: list[tuple[BarrierScope, int, int]] = []
         self._device_epoch = 0
         self._dmm_epoch: dict[int, int] = defaultdict(int)
@@ -164,9 +169,13 @@ class TraceRecorder:
         """One warp compute step (no-op here; replay capture overrides)."""
 
     def record_arrival(self, ctx: "WarpContext", scope: BarrierScope) -> None:
-        """One warp arriving at a barrier (no-op here; replay capture
-        overrides — :meth:`record_barrier` fires once per *release*,
-        which is not enough to rebuild per-warp operation streams)."""
+        """One warp arriving at a barrier.
+
+        :meth:`record_barrier` fires once per *release*, in global time
+        order, which shifts with the latency and dispatch order; the
+        arrivals are what each warp's own program determines.
+        """
+        self.arrivals.append((ctx.warp_id, scope, len(self.records)))
 
     def record_barrier(self, scope: BarrierScope, dmm_id: int, time: int) -> None:
         self.barrier_events.append((scope, dmm_id, time))

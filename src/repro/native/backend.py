@@ -19,6 +19,7 @@ metrics style and surface in the service's ``/metrics`` snapshot.
 from __future__ import annotations
 
 import os
+import threading
 
 from repro.errors import ConfigurationError, reset_warn_once, warn_once
 from repro.native import build as _build
@@ -47,6 +48,9 @@ _WARN_KEY = "native:no-compiler"
 
 #: None = not tried yet; (True, kernels) = bound; (False, detail) = failed.
 _state: "tuple[bool, object] | None" = None
+#: Serializes the first build/load: concurrent first callers would
+#: otherwise race on the library's temporary file.
+_state_lock = threading.Lock()
 
 
 class NativeCounters:
@@ -89,15 +93,17 @@ def _ensure() -> "tuple[bool, object]":
     """Build/load/bind the library once per process."""
     global _state
     if _state is None:
-        lib, how, detail = _build.load_library()
-        if lib is None:
-            _state = (False, detail)
-        else:
-            _state = (True, bind_all(lib))
-            if how == "compiled":
-                NATIVE_METRICS.builds += 1
-            else:
-                NATIVE_METRICS.build_cache_hits += 1
+        with _state_lock:
+            if _state is None:
+                lib, how, detail = _build.load_library()
+                if lib is None:
+                    _state = (False, detail)
+                else:
+                    _state = (True, bind_all(lib))
+                    if how == "compiled":
+                        NATIVE_METRICS.builds += 1
+                    else:
+                        NATIVE_METRICS.build_cache_hits += 1
     return _state
 
 

@@ -6,6 +6,11 @@ generated from the description.  The wrapper validates every array
 argument (ndarray, exact dtype, C-contiguous) before handing out raw
 pointers, so a mismatched buffer fails loudly in Python instead of
 corrupting memory in C.
+
+A caller that passes the same buffers to many calls validates and
+converts them once with :meth:`KernelDescription.pointers`; a call
+accepts those typed pointers in place of the arrays and passes them
+through.
 """
 
 from __future__ import annotations
@@ -41,6 +46,27 @@ class Arg:
     def arr(cls, name: str, dtype=np.int64) -> "Arg":
         return cls(name, np.dtype(dtype), array=True)
 
+    def pointer(self, kname: str, value) -> "ctypes._Pointer":
+        """Validate ``value`` for this array argument; its typed pointer.
+
+        The pointer keeps the array alive.
+        """
+        if not isinstance(value, np.ndarray):
+            raise TypeError(
+                f"{kname}: argument {self.name!r} must be an ndarray, "
+                f"got {type(value).__name__}"
+            )
+        if value.dtype != self.dtype:
+            raise TypeError(
+                f"{kname}: argument {self.name!r} must have dtype "
+                f"{self.dtype}, got {value.dtype}"
+            )
+        if not value.flags["C_CONTIGUOUS"]:
+            raise TypeError(
+                f"{kname}: argument {self.name!r} must be C-contiguous"
+            )
+        return value.ctypes.data_as(ctypes.POINTER(_CTYPES[self.dtype]))
+
 
 @dataclass(frozen=True)
 class KernelDescription:
@@ -60,6 +86,8 @@ class KernelDescription:
         ]
         args = self.args
         kname = self.name
+        # Element ctype of each array argument (None for scalars).
+        elements = [_CTYPES[a.dtype] if a.array else None for a in args]
 
         def call(*values):
             if len(values) != len(args):
@@ -67,30 +95,31 @@ class KernelDescription:
                     f"{kname} takes {len(args)} arguments, got {len(values)}"
                 )
             cvals = []
-            for a, v in zip(args, values):
-                if not a.array:
+            for a, element, v in zip(args, elements, values):
+                if element is None:
                     cvals.append(int(v))
-                    continue
-                if not isinstance(v, np.ndarray):
-                    raise TypeError(
-                        f"{kname}: argument {a.name!r} must be an ndarray, "
-                        f"got {type(v).__name__}"
-                    )
-                if v.dtype != a.dtype:
-                    raise TypeError(
-                        f"{kname}: argument {a.name!r} must have dtype "
-                        f"{a.dtype}, got {v.dtype}"
-                    )
-                if not v.flags["C_CONTIGUOUS"]:
-                    raise TypeError(
-                        f"{kname}: argument {a.name!r} must be C-contiguous"
-                    )
-                cvals.append(v.ctypes.data_as(ctypes.POINTER(_CTYPES[a.dtype])))
+                elif getattr(type(v), "_type_", None) is element:
+                    cvals.append(v)  # a typed pointer from pointers()
+                else:
+                    cvals.append(a.pointer(kname, v))
             return int(fn(*cvals))
 
         call.__name__ = self.name
         call.description = self
         return call
+
+    def pointers(self, **arrays) -> dict:
+        """Validate named array arguments once; ``{name: typed pointer}``.
+
+        Raises :class:`TypeError` exactly as a call would.
+        """
+        by_name = {a.name: a for a in self.args if a.array}
+        out = {}
+        for name, value in arrays.items():
+            if name not in by_name:
+                raise TypeError(f"{self.name} has no array argument {name!r}")
+            out[name] = by_name[name].pointer(self.name, value)
+        return out
 
 
 #: Every kernel exported by ``kernels.c``, in its argument order.

@@ -20,7 +20,10 @@ grid.  Mechanics:
   :mod:`repro.analysis.lower_bounds`.
 * **Verdicts** — the returned :class:`TuneReport` carries before/after
   :func:`repro.analysis.advisor.diagnose` advice, an output-equivalence
-  flag, and the full evaluation history.
+  flag, and the full evaluation history.  The two verdict launches
+  (baseline and winner) run in the search's mode at the grid's largest
+  latency, so under replay they are trace-store hits re-priced at that
+  latency rather than fresh engine runs.
 """
 
 from __future__ import annotations
@@ -201,8 +204,11 @@ def tune(
     """Search ``task_name``'s parameter space; return a :class:`TuneReport`.
 
     ``shape`` overrides the task's default problem shape; ``latencies``
-    sets the grid the objective sums over; ``budget`` caps the number of
-    configurations evaluated (baseline included).  A caller-provided
+    sets the grid the objective sums over (distinct values, or
+    :class:`ConfigurationError`); ``budget`` caps the number of
+    configurations evaluated (baseline included).  The before/after
+    verdicts run the baseline and the winner once more, in the
+    search's mode, at the grid's largest latency.  A caller-provided
     ``executor`` is reused and left open (the service path); otherwise a
     private one is built from ``jobs``/``cache``/``cache_dir``.
     """
@@ -215,6 +221,10 @@ def tune(
     lats = tuple(int(l) for l in (latencies or DEFAULT_LATENCIES))
     if not lats or any(l < 1 for l in lats):
         raise ConfigurationError(f"latencies must be >= 1, got {lats}")
+    if len(set(lats)) != len(lats):
+        # Per-latency cycles are keyed by latency: a repeat would be
+        # costed again but counted once in the objective.
+        raise ConfigurationError(f"latencies must be distinct, got {lats}")
     run_mode = resolve_tune_mode(task, mode)
 
     space = task.space(shape)
@@ -281,12 +291,15 @@ def tune(
             ex.close()
     search_seconds = time.perf_counter() - t0
 
-    # Before/after verdicts + output equivalence on the exact engine
-    # (largest latency of the grid, batch mode for speed).
-    verdict_l = lats[-1]
+    # Before/after verdicts + output equivalence at the grid's largest
+    # latency, in the search's mode: under replay both launches are
+    # trace-store hits (bit-identical to an event run) or, where replay
+    # refuses, event runs.
+    verdict_l = max(lats)
     base_out, base_report, params = task.run(
-        baseline.config, shape, verdict_l, "batch")
-    best_out, best_report, _ = task.run(best.config, shape, verdict_l, "batch")
+        baseline.config, shape, verdict_l, run_mode)
+    best_out, best_report, _ = task.run(
+        best.config, shape, verdict_l, run_mode)
     equivalent = bool(np.allclose(np.asarray(base_out), np.asarray(best_out)))
 
     return TuneReport(

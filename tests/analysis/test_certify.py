@@ -9,8 +9,11 @@ from repro.analysis.certify import (
     conflict_violations,
     trace_signature,
 )
+from repro.machine.hmm import HMMEngine
 from repro.machine.trace import TraceRecorder
+from repro.params import HMMParams
 from repro.core.kernels.conflict_free import flat_cf_sort
+from repro.core.kernels.hmm_sum import hmm_sum
 from repro.core.kernels.merge import flat_merge
 from repro.core.kernels.sorting import flat_bitonic_sort
 
@@ -56,6 +59,45 @@ class TestTraceSignature:
             flat_cf_sort(make_dmm(latency=l), vals.copy(), 16, trace=trace)
             sigs.append(trace_signature(trace))
         assert sigs[0] == sigs[1]
+
+    def test_dispatch_and_latency_invariance_with_barriers(self, rng):
+        """One HMM sum launch (DMM and device barriers): the barrier
+        release order shifts with dispatch and latency, the signature
+        does not."""
+        vals = rng.normal(size=4096)
+        sigs = set()
+        for dispatch in ("fifo", "round-robin"):
+            for l in (2, 300):
+                engine = HMMEngine(
+                    HMMParams(num_dmms=8, width=16, global_latency=l),
+                    dispatch=dispatch)
+                trace = TraceRecorder()
+                hmm_sum(engine, vals, 256, trace=trace)
+                assert trace.arrivals
+                sigs.add(trace_signature(trace))
+        assert len(sigs) == 1
+
+    def test_barrier_placement_changes_digest(self):
+        """Same transactions, barrier moved: a different stream."""
+
+        def signature(barrier_first: bool) -> str:
+            eng = make_dmm(width=4)
+            a = eng.alloc(32, "a")
+            b = eng.alloc(32, "b")
+
+            def program(warp):
+                v = yield warp.read(a, warp.tids)
+                if barrier_first:
+                    yield warp.barrier()
+                yield warp.write(b, warp.tids, v)
+                if not barrier_first:
+                    yield warp.barrier()
+
+            trace = TraceRecorder()
+            eng.launch(program, 16, trace=trace)
+            return trace_signature(trace)
+
+        assert signature(True) != signature(False)
 
 
 class TestConflictViolations:

@@ -9,6 +9,7 @@ no compiler exists, and the per-backend counters.
 
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -109,6 +110,28 @@ class TestBuildCache:
         assert NATIVE_METRICS.build_cache_hits == 1
         assert (ns.directory / "lib" / f"{key}.so").exists()
 
+    def test_concurrent_first_calls_build_once(self):
+        """Threads racing on the first native call share one build."""
+        import threading
+
+        tables, errors = [], []
+
+        def first_call():
+            try:
+                tables.append(native_kernels())
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=first_call) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(tables) == 8 and all(t is tables[0] for t in tables)
+        assert NATIVE_METRICS.builds + NATIVE_METRICS.build_cache_hits == 1
+
     def test_kernel_table_complete(self):
         kernels = native_kernels()
         assert set(kernels) == {
@@ -118,6 +141,52 @@ class TestBuildCache:
             "repro_safe_prefix",
             "repro_wave_starts",
         }
+
+
+class TestBoundPointers:
+    """Buffers validated once by ``KernelDescription.pointers`` pass
+    through a kernel call; anything mistyped still raises TypeError."""
+
+    def _slot_counts(self, **override):
+        kernel = native_kernels()["repro_slot_counts"]
+        args = dict(n_list=2, ops=np.array([0, 1]),
+                    addr_off=np.array([0, 2, 4]),
+                    addresses=np.array([0, 4, 1, 2]), width=4, policy=0,
+                    out=np.zeros(2, dtype=np.int64))
+        args.update(override)
+        return kernel, args
+
+    def test_pointers_and_arrays_give_one_answer(self):
+        kernel, args = self._slot_counts()
+        assert kernel(*args.values()) == 0
+        expected = args["out"].tolist()
+        out = np.zeros(2, dtype=np.int64)
+        bound = kernel.description.pointers(
+            ops=args["ops"], addr_off=args["addr_off"],
+            addresses=args["addresses"], out=out)
+        assert kernel(*{**args, **bound}.values()) == 0
+        assert out.tolist() == expected == [2, 1]
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([0, 2, 4], dtype=np.int32), "dtype int64"),
+        (np.array([0, 0, 2, 2, 4, 4])[::2], "C-contiguous"),
+        ([0, 2, 4], "must be an ndarray"),
+    ])
+    def test_mistyped_buffer_raises(self, bad, match):
+        kernel, args = self._slot_counts()
+        with pytest.raises(TypeError, match=match):
+            kernel.description.pointers(addr_off=bad)
+        with pytest.raises(TypeError, match=match):
+            kernel(*{**args, "addr_off": bad}.values())
+
+    def test_pointer_of_other_element_type_raises(self):
+        kernel, args = self._slot_counts()
+        short = native_kernels()["repro_replay_price"].description.pointers(
+            op_unit=np.zeros(3, dtype=np.int16))["op_unit"]
+        with pytest.raises(TypeError, match="addr_off"):
+            kernel(*{**args, "addr_off": short}.values())
+        with pytest.raises(TypeError, match="no array argument"):
+            kernel.description.pointers(width=np.zeros(1, dtype=np.int64))
 
 
 class TestMissingCompilerFallback:

@@ -184,6 +184,84 @@ class TestReplayEquivalence:
         assert rp == rn
         assert sp == sn
 
+    def test_repeated_pricings_of_one_evaluator(self):
+        """One native evaluator binds its buffers once and re-prices at
+        many latencies, dispatch orders and policy sets; every call
+        matches the python backend and reaches the native kernel."""
+        trace = _capture_hmm_trace()
+        n = len(trace.meta["unit_names"])
+        ev_n = ReplayCostEvaluator(trace, backend="native")
+        ev_p = ReplayCostEvaluator(trace, backend="python")
+        for _ in range(2):
+            for policy in (DMMBankPolicy(), UMMGroupPolicy()):
+                for dispatch in ("round-robin", "fifo"):
+                    for l in (2, 9, 300):
+                        kw = dict(latencies=[l] + [2] * (n - 1),
+                                  policies=[policy] * n,
+                                  pipelined=[True] * n, dispatch=dispatch)
+                        before = NATIVE_METRICS.native_calls
+                        rn, sn = ev_n.evaluate(**kw)
+                        assert NATIVE_METRICS.native_calls > before
+                        assert (rn, sn) == ev_p.evaluate(**kw)
+
+    def test_concurrent_pricings_of_one_evaluator(self):
+        """The kernel releases the GIL: threads sharing one evaluator's
+        bound buffers must each get their own latency's answer."""
+        import sys
+        import threading
+
+        trace = _capture_hmm_trace()
+        n = len(trace.meta["unit_names"])
+        ev_n = ReplayCostEvaluator(trace, backend="native")
+        ev_p = ReplayCostEvaluator(trace, backend="python")
+
+        def kw(l):
+            return dict(latencies=[l] * n, policies=[DMMBankPolicy()] * n,
+                        pipelined=[True] * n, dispatch="round-robin")
+
+        lats = list(range(2, 10))
+        expected = {l: ev_p.evaluate(**kw(l)) for l in lats}
+        mismatches, errors = [], []
+
+        def worker(l):
+            try:
+                for _ in range(100):
+                    if ev_n.evaluate(**kw(l)) != expected[l]:
+                        mismatches.append(l)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(l,))
+                       for l in lats]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert mismatches == []
+
+    @pytest.mark.parametrize("bad", ["dtype", "layout"])
+    def test_bad_buffer_raises_on_first_pricing(self, bad):
+        trace = _capture_hmm_trace()
+        n = len(trace.meta["unit_names"])
+        ev = ReplayCostEvaluator(trace, backend="native")
+        if bad == "dtype":
+            ev._stream_ops = ev._stream_ops.astype(np.int32)
+            match = "stream_ops.*dtype int64"
+        else:
+            ev._stream_off = np.repeat(ev._stream_off, 2)[::2]
+            match = "stream_off.*C-contiguous"
+        kw = dict(latencies=[5] * n, policies=[DMMBankPolicy()] * n,
+                  pipelined=[True] * n)
+        with pytest.raises(TypeError, match=match):
+            ev.evaluate(**kw)
+
     def test_replay_launch_end_to_end(self):
         """Full replay hits under $REPRO_BACKEND=native return the same
         report and memory as python-backend hits."""

@@ -156,6 +156,13 @@ class TestServedTune:
         assert err.value.status == 400
         assert err.value.code == "invalid_param"
 
+    def test_duplicate_latencies_are_400(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.tune("transpose", shape={"w": 4, "d": 2, "m": 8},
+                        latencies=[4, 4])
+        assert err.value.status == 400
+        assert err.value.code == "invalid_param"
+
     def test_metrics_count_tune_requests(self, client):
         client.tune("sum", shape={"n": 128, "w": 4}, latencies=[4],
                     strategy="random", budget=3)

@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.advisor import diagnose
 from repro.errors import ConfigurationError
-from repro.machine.replay import reset_default_store
+from repro.machine.batch import BatchCostEngine
+from repro.machine.replay import default_store, reset_default_store
 from repro.tuner import TASKS, get_task, resolve_tune_mode, tune
 from repro.tuner.__main__ import main as tuner_main
 from repro.tuner.demos import run_config
+from repro.tuner.tuner import _advice_dict
 
 #: Small transpose shape: 4 tiles of 4x4, 12-point layout space.
 SHAPE = {"w": 4, "d": 2, "m": 8}
@@ -156,7 +159,87 @@ class TestModesAndFallback:
         assert report.certificate == "conflict-free"
 
 
+#: Small shapes for every demo task (transpose uses ``SHAPE``).
+TASK_SHAPES = {
+    "transpose": SHAPE,
+    "sum": {"n": 256},
+    "sort": {"n": 128},
+    "permutation": {"n": 128},
+    "gather": {"n": 64},
+}
+
+
+def _replayable(task_name: str, config: dict) -> bool:
+    """Whether replay accepts the task's launch under ``config``: the
+    naive sort network comes from the refusing ``sorting`` module."""
+    return not (task_name == "sort" and config["network"] == "naive")
+
+
+class TestVerdicts:
+    """The before/after verdicts run in the search's mode at the grid's
+    largest latency, and agree with batch launches of the same configs."""
+
+    @pytest.mark.parametrize("lats", [(3, 9), (40, 2)])
+    @pytest.mark.parametrize("task_name", sorted(TASK_SHAPES))
+    def test_verdicts_match_batch_launches(self, task_name, lats):
+        report = tune(task_name, shape=TASK_SHAPES[task_name],
+                      latencies=lats, cache=False)
+        task = get_task(task_name)
+        shape = task.shape(TASK_SHAPES[task_name])
+        base_out, base_rep, params = task.run(
+            report.baseline.config, shape, max(lats), "batch")
+        best_out, best_rep, _ = task.run(
+            report.best.config, shape, max(lats), "batch")
+        assert report.advice_before == _advice_dict(diagnose(base_rep, params))
+        assert report.advice_after == _advice_dict(diagnose(best_rep, params))
+        assert report.equivalent == bool(np.allclose(base_out, best_out))
+
+    def test_verdict_latency_ignores_grid_order(self):
+        down = tune_transpose(latencies=(64, 4), cache=False)
+        up = tune_transpose(latencies=(4, 64), cache=False)
+        assert down.advice_before == up.advice_before
+        assert down.advice_after == up.advice_after
+
+    @pytest.mark.parametrize("task_name", ["transpose", "sort", "permutation"])
+    def test_replay_tune_runs_no_batch_and_verdicts_capture_nothing(
+            self, task_name, monkeypatch):
+        def batch_run(*args, **kwargs):
+            raise AssertionError("a replay-mode tune ran the batch engine")
+
+        monkeypatch.setattr(BatchCostEngine, "run", batch_run)
+        report = tune(task_name, shape=TASK_SHAPES[task_name],
+                      latencies=LATS, mode="replay", cache=False)
+        stats = default_store().stats()
+
+        evaluated = [config for config, _ in report.history]
+        accepted = [c for c in evaluated if _replayable(task_name, c)]
+        # One capture per evaluated launch replay accepts; dispatch is
+        # priced, not keyed, so it shares its launch's trace.
+        launches = {json.dumps({k: v for k, v in c.items()
+                                if k != "dispatch"}, sort_keys=True)
+                    for c in accepted}
+        assert accepted
+        assert stats.captures == len(launches)
+        if task_name == "transpose":
+            assert stats.captures == report.evaluations
+
+        # Each verdict launch is a hit, or an event run where replay
+        # refuses; neither captures.
+        verdicts = [report.baseline.config, report.best.config]
+        verdict_hits = sum(_replayable(task_name, c) for c in verdicts)
+        refused_points = (len(evaluated) - len(accepted)) * len(LATS)
+        assert stats.refusals == refused_points + 2 - verdict_hits
+        assert stats.hits == (len(accepted) * len(LATS) - stats.captures
+                              + verdict_hits)
+
+
 class TestValidation:
+    def test_rejects_duplicate_latencies(self):
+        # Cycles are reported per latency; a repeated one would be
+        # costed twice but counted once in the objective.
+        with pytest.raises(ConfigurationError, match="distinct"):
+            tune("transpose", latencies=[4, 4])
+
     def test_rejects_unknowns(self):
         with pytest.raises(ConfigurationError):
             tune("fft")

@@ -94,10 +94,10 @@ def _measure_replay(tmp_path):
         _isolated_store(tmp_path / backend)
         _sweep("replay", backend)                    # cold: capture + hits
         t_warm, c_warm = _sweep("replay", backend)   # warm: all hits
-        store = default_store().stats()
+        store = default_store().metrics["trace_store"]
         assert c_warm == c_event, f"{backend}: replay cycles diverge"
-        assert store.captures == 1, store.describe()
-        assert store.hits >= 2 * len(LATENCIES) - 1, store.describe()
+        assert store["captures"] == 1, store
+        assert store["hits"] >= 2 * len(LATENCIES) - 1, store
         rows.append({
             "backend": backend,
             "points": len(LATENCIES),

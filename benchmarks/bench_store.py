@@ -121,7 +121,7 @@ def test_store_warm_path(benchmark, tmp_path):
             "store_us": store_us,
             "disk_us": disk_us,
             "legacy_rate": legacy.hits / (legacy.hits + legacy.misses),
-            "store_rate": warm.hits / (warm.hits + warm.misses),
+            "store_rate": warm.metrics["cache.hit_rate"],
         }
 
     r = once(benchmark, run)

@@ -63,8 +63,8 @@ def test_sweep_executor_speedups(benchmark, tmp_path):
             "serial": serial,
             "cold": cold,
             "warm": warm,
-            "warm_hits": warm_ex.cache.hits,
-            "warm_misses": warm_ex.cache.misses,
+            "warm_hits": warm_ex.metrics["cache.hits"],
+            "warm_misses": warm_ex.metrics["cache.misses"],
         }
 
     r = once(benchmark, run)

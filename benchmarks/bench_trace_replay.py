@@ -88,10 +88,10 @@ def _measure(tmp_path):
         _isolated_store(tmp_path / label)
         _sweep(machine_for, "replay")        # cold: one capture + hits
         t_warm, c_warm = _sweep(machine_for, "replay")  # warm: all hits
-        store = default_store().stats()
+        store = default_store().metrics["trace_store"]
         assert c_event == c_batch == c_warm, f"{label}: modes disagree"
-        assert store.captures == 1, store.describe()
-        assert store.hits >= 2 * len(LATENCIES) - 1, store.describe()
+        assert store["captures"] == 1, store
+        assert store["hits"] >= 2 * len(LATENCIES) - 1, store
         rows.append({
             "workload": label,
             "points": len(LATENCIES),

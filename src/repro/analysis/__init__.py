@@ -20,7 +20,6 @@
 
 from repro.analysis.advisor import Advice, Regime, UnitDiagnosis, diagnose
 from repro.analysis.executor import (
-    CacheStats,
     ResultCache,
     SweepExecutor,
     SweepProgress,
@@ -46,7 +45,6 @@ from repro.analysis.terms import Params, Term, Formula
 
 __all__ = [
     "Advice",
-    "CacheStats",
     "CONV_BOUNDS",
     "CONV_FORMULAS",
     "FitResult",

@@ -44,13 +44,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.metrics import Registry, hit_rate
 from repro.store import ArtifactStore
 from repro.store import config as _store_config
 
 __all__ = [
     "SweepPoint",
     "SweepProgress",
-    "CacheStats",
     "ResultCache",
     "SweepExecutor",
     "repro_fingerprint",
@@ -101,32 +101,6 @@ class SweepProgress:
             f"{self.label or 'sweep'}: {self.done}/{self.total} points "
             f"({self.cache_hits} cached) in {self.elapsed_s:.2f}s"
             + (f", eta {self.eta_s:.1f}s" if self.done < self.total else "")
-        )
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """On-disk contents plus this session's hit/miss counters."""
-
-    #: Entries on disk usable under the current fingerprint.
-    entries: int
-    #: Entries on disk written under an older fingerprint (dead weight
-    #: until ``clear()``).
-    stale_entries: int
-    #: Number of on-disk entry files (historically: shard files).
-    shards: int
-    #: Total bytes of the entry files.
-    size_bytes: int
-    #: Lookups answered from the cache this session.
-    hits: int
-    #: Lookups that fell through to a live measurement this session.
-    misses: int
-
-    def describe(self) -> str:
-        return (
-            f"sweep cache: {self.entries} entries ({self.stale_entries} stale) "
-            f"in {self.shards} files, {self.size_bytes} bytes; "
-            f"session: {self.hits} hits / {self.misses} misses"
         )
 
 
@@ -217,14 +191,30 @@ def point_key(
 # The persistent cache.
 # ---------------------------------------------------------------------------
 
+def _cache_metrics() -> Registry:
+    """A sweep cache's ``cache.hits`` / ``cache.misses`` /
+    ``cache.hit_rate`` (all zero while caching is off)."""
+    metrics = Registry()
+    metrics.declare("cache.hits", "cache.misses")
+    metrics.set("cache.hit_rate", lambda: hit_rate(
+        metrics["cache.hits"], metrics["cache.misses"]))
+    return metrics
+
+
 class ResultCache:
     """Persistent measurement cache: one store namespace of canonical
     JSON entries (:mod:`repro.store`), one entry file per key.
 
     Each entry is one ``{"key", "fingerprint", "cycles", "extra"}``
     record.  A corrupt or truncated entry is quarantined by the store
-    and simply recomputed.  Only the parent process writes — workers
-    just return values.
+    and simply recomputed; a well-framed record without integer cycles
+    is dropped, counted as a miss, and replaced by the recomputation.
+    Only the parent process writes — workers just return values.
+
+    :attr:`metrics` counts this cache's lookups; the namespace's
+    registry also reports ``store.<ns>.fingerprints.current`` /
+    ``.stale``, its entries written under this fingerprint and under
+    older ones.
     """
 
     def __init__(
@@ -240,8 +230,9 @@ class ResultCache:
         self._ns = ArtifactStore().namespace(
             namespace, "json", directory=self.directory
         )
-        self.hits = 0
-        self.misses = 0
+        self._ns.metrics.set(f"store.{namespace}.fingerprints",
+                             self._fingerprints)
+        self.metrics = _cache_metrics()
 
     @property
     def store_namespace(self):
@@ -257,11 +248,15 @@ class ResultCache:
                 found = (int(payload["cycles"]),
                          dict(payload.get("extra", {})))
             except (ValueError, KeyError, TypeError):
-                found = None  # malformed record: recompute instead
+                found = None
         if found is None:
-            self.misses += 1
+            if payload is not None:
+                # Malformed record: drop it so the recomputation's
+                # put() replaces it instead of skipping an existing key.
+                self._ns.delete(key)
+            self.metrics.inc("cache.misses")
             return None
-        self.hits += 1
+        self.metrics.inc("cache.hits")
         return found
 
     def put(self, key: str, cycles: int, extra: dict) -> None:
@@ -277,24 +272,16 @@ class ResultCache:
         """Delete every entry file; returns how many were removed."""
         return self._ns.clear()
 
-    def stats(self) -> CacheStats:
-        disk = self._ns.stats()
-        entries = stale = 0
+    def _fingerprints(self) -> dict:
+        current = stale = 0
         for _key, payload in self._ns.scan():
             fp = payload.get("fingerprint", "") \
                 if isinstance(payload, dict) else ""
             if fp == self.fingerprint:
-                entries += 1
+                current += 1
             else:
                 stale += 1
-        return CacheStats(
-            entries=entries,
-            stale_entries=stale,
-            shards=disk.entries_disk,
-            size_bytes=disk.disk_bytes,
-            hits=self.hits,
-            misses=self.misses,
-        )
+        return {"current": current, "stale": stale}
 
 
 def _jsonable_extra(extra: dict) -> dict:
@@ -392,6 +379,9 @@ class SweepExecutor:
             self.cache = ResultCache(
                 directory, self.fingerprint, namespace=namespace
             )
+        #: The cache's ``cache.*`` counters (zeros without a cache).
+        self.metrics = (self.cache.metrics if self.cache is not None
+                        else _cache_metrics())
 
     # -- pool reuse ---------------------------------------------------------
     def _acquire_pool(self, jobs: int) -> tuple[ProcessPoolExecutor, int, bool]:
@@ -427,12 +417,6 @@ class SweepExecutor:
     def clear(self) -> int:
         """Drop every cached result; returns removed entry-file count."""
         return self.cache.clear() if self.cache else 0
-
-    def stats(self) -> CacheStats:
-        """Cache contents and this session's hit/miss counters."""
-        if self.cache:
-            return self.cache.stats()
-        return CacheStats(0, 0, 0, 0, 0, 0)
 
     # -- the sweep ----------------------------------------------------------
     def run(

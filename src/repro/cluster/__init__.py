@@ -39,7 +39,7 @@ stored.  Walkthrough and knob reference: ``docs/CLUSTER.md``.
 
 from repro.cluster.hotkeys import HotKeyTracker
 from repro.cluster.ring import HashRing
-from repro.cluster.router import ClusterRouter, RouterMetrics
+from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import (
     BackgroundCluster,
     BackgroundRouter,
@@ -53,5 +53,4 @@ __all__ = [
     "ClusterSupervisor",
     "HashRing",
     "HotKeyTracker",
-    "RouterMetrics",
 ]

@@ -49,6 +49,7 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.cluster.hotkeys import HotKeyTracker
 from repro.cluster.ring import HashRing
+from repro.metrics import Registry
 from repro.service.clock import Clock
 from repro.service.http import (
     HttpError,
@@ -69,7 +70,7 @@ from repro.telemetry.events import DEFAULT_CAPACITY, EventBus
 from repro.telemetry.series import MetricsRecorder
 from repro.telemetry.stream import stream_over_http
 
-__all__ = ["ClusterRouter", "RouterMetrics"]
+__all__ = ["ClusterRouter"]
 
 #: Transport failures that mean "this shard is unreachable/dead now".
 _SHARD_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError,
@@ -77,55 +78,6 @@ _SHARD_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError,
 
 #: Response headers the router relays from the shard to the client.
 _RELAYED_HEADERS = ("retry-after",)
-
-
-class RouterMetrics:
-    """Ring-level counters, rendered under ``/metrics`` → ``cluster``."""
-
-    def __init__(self, clock: "Clock | None" = None) -> None:
-        self.clock = clock or Clock()
-        self.started_at = self.clock.monotonic()
-        #: (path, status) -> count, as seen by *clients* of the router.
-        self.requests: Counter = Counter()
-        #: shard url -> requests forwarded there (attempts that got a
-        #: response, successful or not).
-        self.forwards: Counter = Counter()
-        self.reroutes = 0          # forward attempts moved to another shard
-        self.shard_failures = 0    # transport errors talking to shards
-        self.no_live_shard = 0     # 503s: every candidate was down
-        self.hot_spread = 0        # hot-key requests sent to a non-primary
-        self.warm_headers_set = 0  # forwards that carried warm peers
-        self.health_transitions = 0
-        # Live membership (POST /v1/ring/add | /v1/ring/drain).
-        self.ring_adds = 0
-        self.ring_drains = 0
-        self.handoff_pushed = 0    # entries relayed during drains
-        self.handoff_failures = 0
-
-    def observe(self, path: str, status: int) -> None:
-        self.requests[(path, status)] += 1
-
-    def snapshot(self) -> dict:
-        by_path: dict[str, dict[str, int]] = {}
-        for (path, status), count in sorted(self.requests.items()):
-            by_path.setdefault(path, {})[str(status)] = count
-        return {
-            "uptime_s": round(self.clock.monotonic() - self.started_at, 3),
-            "requests": by_path,
-            "requests_total": sum(self.requests.values()),
-            "forwards": {url: self.forwards[url]
-                         for url in sorted(self.forwards)},
-            "reroutes": self.reroutes,
-            "shard_failures": self.shard_failures,
-            "no_live_shard_503": self.no_live_shard,
-            "hot_spread": self.hot_spread,
-            "warm_headers_set": self.warm_headers_set,
-            "health_transitions": self.health_transitions,
-            "ring_adds": self.ring_adds,
-            "ring_drains": self.ring_drains,
-            "handoff_pushed": self.handoff_pushed,
-            "handoff_failures": self.handoff_failures,
-        }
 
 
 class ClusterRouter:
@@ -190,7 +142,29 @@ class ClusterRouter:
             window_s=hot_window_s, buckets=10, top_k=hot_top_k,
             min_count=hot_min_count, clock=self.clock,
         )
-        self.metrics = RouterMetrics(self.clock)
+        #: Ring-level counters, rendered under ``/metrics`` → ``cluster``
+        #: → ``router``.
+        self.metrics = m = Registry()
+        started = self.clock.monotonic()
+        m.set("uptime_s",
+              lambda: round(self.clock.monotonic() - started, 3))
+        #: (path, status) -> count, as seen by *clients* of the router.
+        self._requests = m.labeled("requests")
+        m.set("requests_total", lambda: sum(self._requests.values()))
+        #: shard url -> requests forwarded there (attempts that got a
+        #: response, successful or not).
+        self._forwards = m.labeled("forwards")
+        m.declare(
+            "reroutes",            # forward attempts moved to another shard
+            "shard_failures",      # transport errors talking to shards
+            "no_live_shard_503",   # every candidate was down
+            "hot_spread",          # hot-key requests sent to a non-primary
+            "warm_headers_set",    # forwards that carried warm peers
+            "health_transitions",
+            "ring_adds", "ring_drains",  # live membership changes
+            "handoff_pushed",      # entries relayed during drains
+            "handoff_failures",
+        )
         self.health_interval_s = health_interval_s
         self.connect_timeout_s = connect_timeout_s
         self.request_timeout_s = request_timeout_s
@@ -292,7 +266,7 @@ class ClusterRouter:
             return  # drained from the ring while a probe was in flight
         if self._alive[url] != alive:
             self._alive[url] = alive
-            self.metrics.health_transitions += 1
+            self.metrics.inc("health_transitions")
             self.events.emit("shard.up" if alive else "shard.down", shard=url)
 
     async def _health_loop(self) -> None:
@@ -356,7 +330,7 @@ class ClusterRouter:
                     self._inflight -= 1
                     if self._inflight == 0:
                         self._idle.set()
-                self.metrics.observe(path, status)
+                self._requests[(path, status)] += 1
                 keep_alive = (
                     not self._shutdown_started
                     and http_version != "HTTP/1.0"
@@ -481,7 +455,7 @@ class ClusterRouter:
             self._rr[key] = cursor + 1
             primary = owners[cursor % len(owners)]
             if primary != owners[0]:
-                self.metrics.hot_spread += 1
+                self.metrics.inc("hot_spread")
             order = [primary] + [u for u in owners if u != primary]
             warm_peers = [u for u in owners if u != primary]
         order += [u for u in alive if u not in order]
@@ -497,7 +471,7 @@ class ClusterRouter:
         order, warm_peers = self._candidates(key)
         for index, url in enumerate(order):
             if index > 0:
-                self.metrics.reroutes += 1
+                self.metrics.inc("reroutes")
                 self.events.emit("reroute", path=path, shard=url)
             extra_request_headers = {}
             peers = [p for p in warm_peers if p != url]
@@ -508,19 +482,19 @@ class ClusterRouter:
                     url, method, target, raw, extra_request_headers
                 )
             except _SHARD_ERRORS:
-                self.metrics.shard_failures += 1
+                self.metrics.inc("shard_failures")
                 self._mark(url, False)
                 continue
-            self.metrics.forwards[url] += 1
+            self._forwards[url] += 1
             if peers:
-                self.metrics.warm_headers_set += 1
+                self.metrics.inc("warm_headers_set")
             relay = {
                 name.title(): value
                 for name, value in headers.items()
                 if name in _RELAYED_HEADERS
             }
             return status, body, relay
-        self.metrics.no_live_shard += 1
+        self.metrics.inc("no_live_shard_503")
         raise HttpError(
             503,
             error_body("no_live_shard",
@@ -592,10 +566,10 @@ class ClusterRouter:
         try:
             opts = parse_events_query(query)
         except ProtocolError as exc:
-            self.metrics.observe(path, 400)
+            self._requests[(path, 400)] += 1
             await write_response(writer, 400, exc.body(), {}, False)
             return
-        self.metrics.observe(path, 200)
+        self._requests[(path, 200)] += 1
         heartbeat_s = min(opts["timeout_s"], 10.0) or 10.0
         task = asyncio.current_task()
         if task is not None:
@@ -683,7 +657,7 @@ class ClusterRouter:
         )
         if self.multiplex:
             self._start_multiplex(url)
-        self.metrics.ring_adds += 1
+        self.metrics.inc("ring_adds")
         self.events.emit("ring.add", shard=url,
                          shards=len(self.ring.shards))
         return {
@@ -720,7 +694,7 @@ class ClusterRouter:
         if task is not None:
             task.cancel()
         self._alive.pop(url, None)
-        self.metrics.ring_drains += 1
+        self.metrics.inc("ring_drains")
         self.events.emit("ring.drain", shard=url,
                          shards=len(self.ring.shards), **handoff)
         return {
@@ -753,7 +727,7 @@ class ClusterRouter:
             inventory = await source.store_keys()
         except Exception:  # noqa: BLE001 - source gone: nothing to move
             counters["failed"] += 1
-            self.metrics.handoff_failures += 1
+            self.metrics.inc("handoff_failures")
             return counters
 
         def is_alive(u: str) -> bool:
@@ -769,7 +743,7 @@ class ClusterRouter:
                 )
                 if not owners:
                     counters["failed"] += 1
-                    self.metrics.handoff_failures += 1
+                    self.metrics.inc("handoff_failures")
                     continue
                 target = targets.setdefault(owners[0], AsyncServiceClient(
                     owners[0], timeout=self.request_timeout_s, retries=1,
@@ -785,16 +759,16 @@ class ClusterRouter:
                         "entry": entry["entry"],
                     })
                     counters["pushed"] += 1
-                    self.metrics.handoff_pushed += 1
+                    self.metrics.inc("handoff_pushed")
                 except (ServiceError,) as exc:
                     if isinstance(exc, Unavailable):
                         counters["failed"] += 1
-                        self.metrics.handoff_failures += 1
+                        self.metrics.inc("handoff_failures")
                     else:
                         counters["skipped"] += 1
                 except Exception:  # noqa: BLE001 - transport loss
                     counters["failed"] += 1
-                    self.metrics.handoff_failures += 1
+                    self.metrics.inc("handoff_failures")
         return counters
 
     # -- local endpoints ---------------------------------------------------

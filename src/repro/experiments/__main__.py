@@ -202,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cache = not args.no_cache
     if args.what is None:
-        print(SweepExecutor(cache=True).stats().describe())
+        _print_cache_stats(replay=False)
         return 0
 
     sweep_kwargs = dict(
@@ -315,17 +315,41 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if args.cache_stats:
-        print(SweepExecutor(cache=True).stats().describe())
-        if args.mode == "replay":
-            from repro.machine.replay import default_store
-
-            print(default_store().stats().describe())
+        _print_cache_stats(replay=args.mode == "replay")
 
     if ok:
         print("reproduction criteria: PASS")
         return 0
     print("reproduction criteria: FAIL", file=sys.stderr)
     return 1
+
+
+def _print_cache_stats(replay: bool) -> None:
+    """The ``--cache-stats`` lines: contents and this session's counts."""
+    executor = SweepExecutor(cache=True)
+    hits = executor.metrics["cache.hits"]
+    misses = executor.metrics["cache.misses"]
+    current = stale = files = size = 0
+    if executor.cache is not None:
+        ns = executor.cache.store_namespace
+        contents = ns.metrics[f"store.{ns.name}"]
+        current = contents["fingerprints"]["current"]
+        stale = contents["fingerprints"]["stale"]
+        files, size = contents["entries_disk"], contents["disk_bytes"]
+    print(f"sweep cache: {current} entries ({stale} stale) in {files} "
+          f"files, {size} bytes; session: {hits} hits / {misses} misses")
+    if replay:
+        from repro.machine.replay import default_store
+
+        store = default_store()
+        t = store.metrics["trace_store"]
+        tiers = store.store_namespace.metrics["store.trace"]
+        print(f"trace store: {t['entries_memory']} in memory / "
+              f"{t['entries_disk']} on disk ({t['size_bytes']} bytes); "
+              f"session: {t['hits']} hits ({tiers['hits_memory']} mem, "
+              f"{tiers['hits_disk']} disk) / {t['misses']} misses, "
+              f"{t['captures']} captures, {t['refusals']} refusals, "
+              f"{t['flagged_programs']} flagged non-oblivious")
 
 
 if __name__ == "__main__":

@@ -72,7 +72,8 @@ from repro.machine.ops import (
 )
 from repro.machine.pipeline import PipelinedMemoryUnit
 from repro.machine.scheduler import SchedulerResult, WarpState, _BarrierGroup
-from repro.native import NATIVE_METRICS, native_kernels, resolve_backend
+from repro.metrics import PROCESS
+from repro.native import native_kernels, resolve_backend
 
 __all__ = ["BatchCostEngine", "BatchFallback"]
 
@@ -493,7 +494,7 @@ class BatchCostEngine:
         enc = np.fromiter((e[0] for e in entries), dtype=np.int64, count=n)
         slots = np.fromiter((e[3] for e in entries), dtype=np.int64, count=n)
         if self._native is not None:
-            NATIVE_METRICS.native_calls += 1
+            PROCESS.inc("native.native_calls")
             return self._native["repro_safe_prefix"](
                 n, enc, slots, self._nw, unit.latency,
                 1 if unit.pipelined else 0, unit.port_free, outside,
@@ -668,7 +669,7 @@ class BatchCostEngine:
                 out_final,
             )
             if p >= 0:
-                NATIVE_METRICS.native_calls += 1
+                PROCESS.inc("native.native_calls")
                 encs = out_enc[:p].tolist()
                 pops = list(
                     zip(out_i[:p].tolist(), out_j[:p].tolist(),
@@ -889,7 +890,7 @@ class BatchCostEngine:
                 R, n, np.ascontiguousarray(S), r0, pf, lat1,
                 1 if pipelined else 0, lag, READY, STARTS, ready,
             )
-            NATIVE_METRICS.native_calls += 1
+            PROCESS.inc("native.native_calls")
         else:
             READY = np.empty((R, n), dtype=np.int64)
             STARTS = np.empty((R, n), dtype=np.int64)

@@ -83,7 +83,8 @@ import numpy as np
 
 from repro.errors import KernelError, TraceOverflowError
 from repro.machine.memory import ArrayHandle, MemorySpace
-from repro.native import NATIVE_METRICS, native_kernels, resolve_backend
+from repro.metrics import PROCESS, Registry, hit_rate
+from repro.native import native_kernels, resolve_backend
 from repro.native.cdefs import KERNELS as _NATIVE_KERNELS
 from repro.store import ArtifactStore
 from repro.store import config as _store_config
@@ -106,7 +107,6 @@ __all__ = [
     "ReplayCostEvaluator",
     "TraceCompiler",
     "TraceStore",
-    "TraceStoreStats",
     "default_store",
     "derive_launch_key",
     "is_replay_oblivious",
@@ -869,7 +869,7 @@ class ReplayCostEvaluator:
                     if rc != 0:
                         counts = None
                     else:
-                        NATIVE_METRICS.native_calls += 1
+                        PROCESS.inc("native.native_calls")
             if counts is None:
                 views = [trace.addresses_of(i) for i in ops]
                 counts = policies[u].slot_counts(views, width).astype(
@@ -928,7 +928,7 @@ class ReplayCostEvaluator:
             out_last = io["out_last"].tolist()
         if rc != 0:  # pragma: no cover - allocation failure only
             return None
-        NATIVE_METRICS.native_calls += 1
+        PROCESS.inc("native.native_calls")
         stats: dict[str, UnitStats] = {}
         for u, name in enumerate(self._unit_names):
             tally = self._unit_tallies[u]
@@ -1172,37 +1172,6 @@ def _trace_fingerprint() -> str:
     return f"repro-{__version__}"
 
 
-@dataclass(frozen=True)
-class TraceStoreStats:
-    """Store contents plus this session's counters."""
-
-    entries_memory: int
-    entries_disk: int
-    size_bytes: int
-    hits_memory: int
-    hits_disk: int
-    misses: int
-    captures: int
-    refusals: int
-    flagged_programs: int
-    evictions: int
-    io_errors: int
-
-    @property
-    def hits(self) -> int:
-        return self.hits_memory + self.hits_disk
-
-    def describe(self) -> str:
-        return (
-            f"trace store: {self.entries_memory} in memory / "
-            f"{self.entries_disk} on disk ({self.size_bytes} bytes); "
-            f"session: {self.hits} hits ({self.hits_memory} mem, "
-            f"{self.hits_disk} disk) / {self.misses} misses, "
-            f"{self.captures} captures, {self.refusals} refusals, "
-            f"{self.flagged_programs} flagged non-oblivious"
-        )
-
-
 class TraceStore:
     """Keyed storage of compiled traces with an obliviousness guard.
 
@@ -1258,40 +1227,18 @@ class TraceStore:
         self._struct_sig: dict[str, tuple[str, str]] = {}
         self._keys_by_struct: dict[str, set[str]] = {}
         self._flagged: set[str] = set()
-        self.captures = 0
-        self.refusals = 0
+        #: This store's ``trace_store.*`` section: captures and
+        #: refusals counted here; hits, misses and contents read from
+        #: the namespace.
+        self.metrics = Registry()
+        self.metrics.declare("trace_store.captures", "trace_store.refusals")
+        self.metrics.set("trace_store", self._section)
 
     # -- the storage substrate ---------------------------------------------
     @property
     def store_namespace(self):
         """The underlying :class:`repro.store.Namespace`."""
         return self._ns
-
-    # Session counters delegate to the namespace, so the same numbers
-    # appear here and in the store-wide /metrics aggregation.
-    @property
-    def hits_memory(self) -> int:
-        return self._ns.counters.hits_memory
-
-    @property
-    def hits_disk(self) -> int:
-        return self._ns.counters.hits_disk
-
-    @property
-    def misses(self) -> int:
-        return self._ns.counters.misses
-
-    @property
-    def evictions(self) -> int:
-        return (self._ns.counters.evictions_memory
-                + self._ns.counters.evictions_disk)
-
-    @property
-    def io_errors(self) -> int:
-        # Corrupt (quarantined) entries count here too: before the
-        # unified store they surfaced as load failures.
-        return (self._ns.counters.io_errors
-                + self._ns.counters.integrity_failures)
 
     def _path(self, key: str) -> Path:
         return self._ns.path_of(key)
@@ -1303,7 +1250,7 @@ class TraceStore:
 
     def note_refusal(self) -> None:
         """Count one launch that refused replay (fell back to event)."""
-        self.refusals += 1
+        self.metrics.inc("trace_store.refusals")
 
     def _flag(self, struct: str) -> None:
         self._flagged.add(struct)
@@ -1336,40 +1283,21 @@ class TraceStore:
         self._struct_sig[key.struct] = (key.data, signature)
         self._keys_by_struct.setdefault(key.struct, set()).add(key.full)
         self._ns.put(key.full, trace)
-        self.captures += 1
+        self.metrics.inc("trace_store.captures")
         return True
 
     # -- observability -----------------------------------------------------
-    def stats(self) -> TraceStoreStats:
-        contents = self._ns.stats()
-        return TraceStoreStats(
-            entries_memory=contents.entries_memory,
-            entries_disk=contents.entries_disk,
-            size_bytes=contents.disk_bytes,
-            hits_memory=self.hits_memory,
-            hits_disk=self.hits_disk,
-            misses=self.misses,
-            captures=self.captures,
-            refusals=self.refusals,
-            flagged_programs=len(self._flagged),
-            evictions=self.evictions,
-            io_errors=self.io_errors,
-        )
-
-    def stats_dict(self) -> dict:
-        """JSON-able stats (the service's ``/metrics`` payload)."""
-        s = self.stats()
-        lookups = s.hits + s.misses
+    def _section(self) -> dict:
+        ns = self._ns.metrics[f"store.{self._ns.name}"]
+        hits = ns["hits_memory"] + ns["hits_disk"]
         return {
-            "hits": s.hits,
-            "misses": s.misses,
-            "hit_rate": round(s.hits / lookups, 4) if lookups else 0.0,
-            "captures": s.captures,
-            "refusals": s.refusals,
-            "flagged_programs": s.flagged_programs,
-            "entries_memory": s.entries_memory,
-            "entries_disk": s.entries_disk,
-            "size_bytes": s.size_bytes,
+            "hits": hits,
+            "misses": ns["misses"],
+            "hit_rate": hit_rate(hits, ns["misses"]),
+            "flagged_programs": len(self._flagged),
+            "entries_memory": ns["entries_memory"],
+            "entries_disk": ns["entries_disk"],
+            "size_bytes": ns["disk_bytes"],
         }
 
     def clear(self) -> None:

@@ -11,11 +11,8 @@ docs/PERFORMANCE.md ("Native backend") for the user guide.
 from repro.native.backend import (
     BACKEND_ENV,
     BACKENDS,
-    NATIVE_METRICS,
-    NativeCounters,
     native_available,
     native_kernels,
-    native_metrics_snapshot,
     reset_native,
     resolve_backend,
 )
@@ -23,11 +20,8 @@ from repro.native.backend import (
 __all__ = [
     "BACKEND_ENV",
     "BACKENDS",
-    "NATIVE_METRICS",
-    "NativeCounters",
     "native_available",
     "native_kernels",
-    "native_metrics_snapshot",
     "reset_native",
     "resolve_backend",
 ]

@@ -11,9 +11,10 @@ loops, always available) and ``"native"`` (the compiled kernels of
   :class:`RuntimeWarning` is emitted once per process, and the Python
   loop runs instead — results are identical either way.
 
-Counters (``native_calls`` / ``python_fallbacks`` /
-``build_cache_hits`` / ``builds``) mirror the artifact store's
-metrics style and surface in the service's ``/metrics`` snapshot.
+Counters (``native.native_calls`` / ``native.python_fallbacks`` /
+``native.build_cache_hits`` / ``native.builds``) live in the
+per-process registry :data:`repro.metrics.PROCESS`, whose ``native``
+section the service's ``/metrics`` snapshot reports.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import threading
 
 from repro.errors import ConfigurationError, reset_warn_once, warn_once
+from repro.metrics import PROCESS
 from repro.native import build as _build
 from repro.native.cdefs import bind_all
 
@@ -31,9 +33,6 @@ __all__ = [
     "resolve_backend",
     "native_available",
     "native_kernels",
-    "NativeCounters",
-    "NATIVE_METRICS",
-    "native_metrics_snapshot",
     "reset_native",
 ]
 
@@ -51,28 +50,6 @@ _state: "tuple[bool, object] | None" = None
 #: Serializes the first build/load: concurrent first callers would
 #: otherwise race on the library's temporary file.
 _state_lock = threading.Lock()
-
-
-class NativeCounters:
-    """Process-wide native-backend counters (store-metrics style)."""
-
-    __slots__ = ("native_calls", "python_fallbacks", "build_cache_hits",
-                 "builds")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.native_calls = 0
-        self.python_fallbacks = 0
-        self.build_cache_hits = 0
-        self.builds = 0
-
-    def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-NATIVE_METRICS = NativeCounters()
 
 
 def resolve_backend(backend: "str | None" = None) -> str:
@@ -100,10 +77,8 @@ def _ensure() -> "tuple[bool, object]":
                     _state = (False, detail)
                 else:
                     _state = (True, bind_all(lib))
-                    if how == "compiled":
-                        NATIVE_METRICS.builds += 1
-                    else:
-                        NATIVE_METRICS.build_cache_hits += 1
+                    PROCESS.inc("native.builds" if how == "compiled"
+                                else "native.build_cache_hits")
     return _state
 
 
@@ -122,7 +97,7 @@ def native_kernels() -> "dict | None":
     ok, payload = _ensure()
     if ok:
         return payload  # type: ignore[return-value]
-    NATIVE_METRICS.python_fallbacks += 1
+    PROCESS.inc("native.python_fallbacks")
     warn_once(
         _WARN_KEY,
         f"native backend unavailable ({payload}); falling back to the "
@@ -132,17 +107,21 @@ def native_kernels() -> "dict | None":
     return None
 
 
-def native_metrics_snapshot() -> dict:
-    """The ``/metrics`` ``"native"`` section."""
-    snap = NATIVE_METRICS.snapshot()
+def _native_section() -> dict:
+    """The ``native`` section: the counters, the default backend, and
+    availability — ``None`` until the first native call, so reading it
+    never forces a compile on an idle service."""
+    section = {name: PROCESS.counts.get(f"native.{name}", 0) for name in (
+        "native_calls", "python_fallbacks", "build_cache_hits", "builds")}
     try:
-        snap["default_backend"] = resolve_backend(None)
+        section["default_backend"] = resolve_backend(None)
     except ConfigurationError:
-        snap["default_backend"] = "invalid"
-    # Report availability without forcing a compile on an idle service:
-    # before the first native call the state is simply unknown.
-    snap["available"] = _state[0] if _state is not None else None
-    return snap
+        section["default_backend"] = "invalid"
+    section["available"] = _state[0] if _state is not None else None
+    return section
+
+
+PROCESS.set("native", _native_section)
 
 
 def reset_native() -> None:

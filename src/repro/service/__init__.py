@@ -12,7 +12,8 @@ sharded :class:`~repro.analysis.executor.SweepExecutor`):
 * :mod:`repro.service.server` — an asyncio JSON-over-HTTP server
   (stdlib only) exposing ``POST /v1/cost``, ``POST /v1/sweep``,
   ``POST /v1/tune``, ``GET /v1/advise``, ``GET /healthz`` and
-  ``GET /metrics``;
+  ``GET /metrics`` (the snapshot of the server's
+  :class:`~repro.metrics.Registry`);
 * :mod:`repro.service.batcher` — the dynamic micro-batcher that
   coalesces concurrent cost queries into one oracle evaluation, with a
   bounded queue, admission control (429 + ``Retry-After``), per-request
@@ -34,7 +35,6 @@ from repro.service.client import (
     Unavailable,
 )
 from repro.service.clock import Clock, ManualClock
-from repro.service.metrics import ServiceMetrics
 from repro.service.oracle import CostOracle, evaluate_point
 from repro.service.protocol import (
     DEFAULT_SEED,
@@ -73,7 +73,6 @@ __all__ = [
     "RequestTimeout",
     "ServiceClient",
     "ServiceError",
-    "ServiceMetrics",
     "ServiceServer",
     "TUNE_STRATEGIES",
     "TUNE_TASKS",

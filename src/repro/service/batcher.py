@@ -36,8 +36,8 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
+from repro.metrics import Registry
 from repro.service.clock import Clock
-from repro.service.metrics import ServiceMetrics
 
 __all__ = ["MicroBatcher", "Overloaded", "RequestTimeout"]
 
@@ -87,7 +87,10 @@ class MicroBatcher:
     timeout_s:
         Per-request deadline while queued/in flight.
     clock, metrics:
-        Injection points; default to real time and fresh counters.
+        Injection points; default to real time and a fresh
+        :class:`~repro.metrics.Registry`, which receives the
+        ``rejected`` / ``drained_rejects`` / ``timeouts``, ``batches.*``
+        and ``queue.*`` names.
     """
 
     def __init__(
@@ -99,7 +102,7 @@ class MicroBatcher:
         max_queue: int = 256,
         timeout_s: float = 60.0,
         clock: Clock | None = None,
-        metrics: ServiceMetrics | None = None,
+        metrics: Registry | None = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -111,7 +114,7 @@ class MicroBatcher:
         self.max_queue = max_queue
         self.timeout_s = timeout_s
         self.clock = clock or Clock()
-        self.metrics = metrics or ServiceMetrics(self.clock)
+        self.metrics = metrics if metrics is not None else Registry()
         self._entries: list[_Entry] = []
         self._queued_by_key: dict[str, _Entry] = {}
         self._in_flight_by_key: dict[str, _Entry] = {}
@@ -121,8 +124,16 @@ class MicroBatcher:
         self._flusher: asyncio.Task | None = None
         # EWMA of batch service seconds, seeding the Retry-After estimate.
         self._batch_seconds = 0.05
-        self.metrics.queue_depth = lambda: self._pending_requests
-        self.metrics.queue_bound = max_queue
+        m = self.metrics
+        m.declare("rejected", "drained_rejects", "timeouts",
+                  *(f"batches.{name}" for name in (
+                      "count", "requests", "unique_points", "coalesced")))
+        m.set("batches.max_size", 0)
+        m.set("batches.mean_size", lambda: round(
+            m["batches.requests"] / m["batches.count"], 3)
+            if m["batches.count"] else 0.0)
+        m.set("queue.depth", lambda: self._pending_requests)
+        m.set("queue.bound", max_queue)
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
@@ -162,10 +173,10 @@ class MicroBatcher:
         bound is hit and :class:`RequestTimeout` past the deadline.
         """
         if self._draining:
-            self.metrics.drained_rejects += 1
+            self.metrics.inc("drained_rejects")
             raise Overloaded(self.retry_after(), draining=True)
         if self._pending_requests >= self.max_queue:
-            self.metrics.rejected += 1
+            self.metrics.inc("rejected")
             raise Overloaded(self.retry_after())
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
         entry = None
@@ -185,7 +196,7 @@ class MicroBatcher:
         if not finished and fut.cancel():
             # Abandon the slot; the flusher skips cancelled futures.
             self._pending_requests -= 1
-            self.metrics.timeouts += 1
+            self.metrics.inc("timeouts")
             raise RequestTimeout(
                 f"no result within {self.timeout_s:g}s (queue depth "
                 f"{self._pending_requests})"
@@ -253,4 +264,9 @@ class MicroBatcher:
                     fut.set_result(results[i])
                 self._pending_requests -= 1
                 served += 1
-        self.metrics.observe_batch(requests=served, unique=len(batch))
+        m = self.metrics
+        m.inc("batches.count")
+        m.inc("batches.requests", served)
+        m.inc("batches.unique_points", len(batch))
+        m.inc("batches.coalesced", served - len(batch))
+        m.set("batches.max_size", max(m["batches.max_size"], served))

@@ -95,6 +95,9 @@ class CostOracle:
     ) -> None:
         self.executor = SweepExecutor(jobs=jobs, cache=cache,
                                       cache_dir=cache_dir, keep_pool=True)
+        #: The result cache's ``cache.*`` counters: the server reports
+        #: them, and sweep and tune responses carry their deltas.
+        self.metrics = self.executor.metrics
         self._lock = threading.Lock()
 
     # -- evaluation --------------------------------------------------------
@@ -110,10 +113,9 @@ class CostOracle:
 
     def run_sweep(self, meta: Mapping, specs: list[dict]) -> dict:
         """Evaluate an expanded ``/v1/sweep`` grid into one response."""
-        before_hits, before_misses = self.cache_counters()
+        before = dict(self.metrics.counts)
         specs = [self._strip_auto_backend(s) for s in specs]
         points = self._run(specs, "service/sweep")
-        hits, misses = self.cache_counters()
         return {
             **{k: meta[k] for k in ("kernel", "model", "mode", "seed")},
             "points": [
@@ -124,8 +126,7 @@ class CostOracle:
                 }
                 for spec, pt in zip(specs, points)
             ],
-            "cache": {"hits": hits - before_hits,
-                      "misses": misses - before_misses},
+            "cache": self._cache_delta(before),
         }
 
     def advise(self, spec: Mapping) -> dict:
@@ -172,7 +173,7 @@ class CostOracle:
         from repro.service.protocol import ProtocolError
         from repro.tuner import tune
 
-        before_hits, before_misses = self.cache_counters()
+        before = dict(self.metrics.counts)
         try:
             with self._lock:
                 report = tune(
@@ -187,17 +188,12 @@ class CostOracle:
                 )
         except ConfigurationError as exc:
             raise ProtocolError(str(exc), code="invalid_param") from exc
-        hits, misses = self.cache_counters()
         body = report.to_dict()
         # Served responses are deterministic functions of the request
         # (the cluster relies on this for byte-identical relay); the
         # search's wall-clock is operational detail, not an answer.
         body.pop("search_seconds", None)
-        return {
-            **body,
-            "cache": {"hits": hits - before_hits,
-                      "misses": misses - before_misses},
-        }
+        return {**body, "cache": self._cache_delta(before)}
 
     # -- cluster support ---------------------------------------------------
     def store_namespaces(self) -> dict:
@@ -234,10 +230,10 @@ class CostOracle:
         ]
 
     # -- observability / lifecycle ----------------------------------------
-    def cache_counters(self) -> tuple[int, int]:
-        """(hits, misses) of the persistent cache this session."""
-        cache = self.executor.cache
-        return (cache.hits, cache.misses) if cache else (0, 0)
+    def _cache_delta(self, before: dict) -> dict:
+        counts = self.metrics.counts
+        return {name: counts[f"cache.{name}"] - before[f"cache.{name}"]
+                for name in ("hits", "misses")}
 
     def close(self) -> None:
         """Release the executor's retained worker pool, if any."""

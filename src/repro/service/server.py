@@ -23,7 +23,9 @@ Stdlib only: a small, strict HTTP/1.1 handler on ``asyncio.start_server``
                           resumable via ``?from=<seq>`` (docs/TELEMETRY.md)
 ``GET /healthz``          liveness + drain state
 ``GET /metrics``          JSON counters (requests, batch sizes, cache hit
-                          rate, queue depth, latency quantiles)
+                          rate, queue depth, latency quantiles): the
+                          snapshot of the server's
+                          :class:`~repro.metrics.Registry`
 ========================  ==================================================
 
 Failure surface: malformed input → ``400`` with a structured body
@@ -44,17 +46,15 @@ from typing import Awaitable, Callable
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.machine.replay import default_store
+from repro.metrics import PROCESS, Registry
 from repro.service.batcher import MicroBatcher, Overloaded, RequestTimeout
 from repro.service.clock import Clock
-from repro.native import native_metrics_snapshot
-from repro.store import store_metrics_snapshot
 from repro.service.http import (
     HttpError,
     error_body,
     read_request,
     write_response,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.service.oracle import CostOracle
 from repro.service.protocol import (
     ProtocolError,
@@ -101,7 +101,11 @@ class ServiceServer:
         — every request costs one evaluation.  Only useful as the
         baseline in benchmarks; leave on in production.
     clock, metrics:
-        Injection points for deterministic tests.
+        Injection points for deterministic tests.  ``metrics`` is the
+        server's :class:`~repro.metrics.Registry`; its snapshot is the
+        ``/metrics`` body, and it mounts the oracle's ``cache``
+        counters, the process's ``trace_store`` (the default trace
+        store), ``store`` and ``native`` sections.
     telemetry, telemetry_resolution_s, telemetry_retention:
         The live telemetry subsystem (event bus + metrics recorder,
         see :mod:`repro.telemetry`).  ``telemetry=False`` disables the
@@ -128,7 +132,7 @@ class ServiceServer:
         timeout_s: float = 60.0,
         coalesce: bool = True,
         clock: Clock | None = None,
-        metrics: ServiceMetrics | None = None,
+        metrics: Registry | None = None,
         telemetry: bool = True,
         telemetry_resolution_s: float = 1.0,
         telemetry_retention: int = 300,
@@ -139,8 +143,27 @@ class ServiceServer:
         self.port = port
         self.coalesce = coalesce
         self.clock = clock or Clock()
-        self.metrics = metrics or ServiceMetrics(self.clock)
+        self.metrics = m = metrics if metrics is not None else Registry()
+        started = self.clock.monotonic()
+        m.set("uptime_s",
+              lambda: round(self.clock.monotonic() - started, 3))
+        #: (route, status) -> count, e.g. ("/v1/cost", 200) -> 41.
+        self._requests = m.labeled("requests")
+        m.set("requests_total", lambda: sum(self._requests.values()))
+        self._latency = m.histogram("latency")
+        # Cluster cache warming (see docs/CLUSTER.md).  Sender side:
+        # framed entries pushed to replica peers; receiver side: pushes
+        # accepted/deduplicated/rejected by the envelope check.
+        m.declare(*(f"warming.{name}" for name in (
+            "pushes_sent", "push_failures", "push_rejected",
+            "received_stored", "received_duplicates", "received_rejected")))
+        m.set("warming.pending", lambda: len(self._warm_tasks))
         self.oracle = oracle if oracle is not None else CostOracle()
+        # Mounted at the root: this server's oracle's ``cache``, and the
+        # process's default ``trace_store``, ``store`` and ``native``.
+        m.set("", lambda: {**self.oracle.metrics.snapshot(),
+                           **default_store().metrics.snapshot(),
+                           **PROCESS.snapshot()})
         self.batcher = MicroBatcher(
             self._evaluate_batch,
             max_batch_size=max_batch_size,
@@ -150,11 +173,6 @@ class ServiceServer:
             clock=self.clock,
             metrics=self.metrics,
         )
-        self.metrics.cache_counters = self.oracle.cache_counters
-        self.metrics.trace_counters = lambda: default_store().stats_dict()
-        self.metrics.store_counters = store_metrics_snapshot
-        self.metrics.native_counters = native_metrics_snapshot
-        self.metrics.warm_pending = lambda: len(self._warm_tasks)
         # Cluster warming: the stores this process can push/pull framed
         # entries for, with recent-put tracking on so a computing shard
         # knows what it just wrote (tune artifacts especially).  Oracle
@@ -200,11 +218,11 @@ class ServiceServer:
                 store_space=store_space,
                 name="service",
             )
-        self.metrics.telemetry_counters = lambda: {
+        m.set("telemetry", lambda: {
             "events": self.events.snapshot(),
             **({"recorder": self.recorder.snapshot()}
                if self.recorder is not None else {}),
-        }
+        })
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
@@ -323,9 +341,7 @@ class ServiceServer:
                     status = 500
                     body = error_body("internal", f"{type(exc).__name__}: {exc}")
                     extra_headers = {}
-                self.metrics.observe_request(
-                    path, status, self.clock.monotonic() - started
-                )
+                self._observe(path, status, self.clock.monotonic() - started)
                 keep_alive = (
                     not self._shutdown_started
                     and http_version != "HTTP/1.0"
@@ -387,8 +403,7 @@ class ServiceServer:
                 status, error_body(code, str(exc)),
                 {"Retry-After": str(max(1, round(exc.retry_after)))},
             ) from None
-        except RequestTimeout as exc:
-            self.metrics  # timeouts counted by the batcher
+        except RequestTimeout as exc:  # counted by the batcher
             raise HttpError(504, error_body("timeout", str(exc))) from None
         return 200, body, {}
 
@@ -441,15 +456,15 @@ class ServiceServer:
             None, lambda: space.put_framed(key, blob)
         )
         if result == "rejected":
-            self.metrics.warm_received_rejected += 1
+            self.metrics.inc("warming.received_rejected")
             raise HttpError(400, error_body(
                 "integrity",
                 f"pushed entry for {namespace}/{key} failed the envelope check",
             ))
         if result == "duplicate":
-            self.metrics.warm_received_duplicates += 1
+            self.metrics.inc("warming.received_duplicates")
         else:
-            self.metrics.warm_received += 1
+            self.metrics.inc("warming.received_stored")
         return {"namespace": namespace, "key": key, "result": result}
 
     async def _route_store_pull(self, payload, query, headers) -> dict:
@@ -499,10 +514,10 @@ class ServiceServer:
         try:
             opts = parse_events_query(query)
         except ProtocolError as exc:
-            self.metrics.observe_request(path, 400, 0.0)
+            self._observe(path, 400, 0.0)
             await write_response(writer, 400, exc.body(), {}, False)
             return
-        self.metrics.observe_request(path, 200, 0.0)
+        self._observe(path, 200, 0.0)
         heartbeat_s = min(opts["timeout_s"], 10.0) or 10.0
         task = asyncio.current_task()
         if task is not None:
@@ -529,6 +544,11 @@ class ServiceServer:
 
     async def _route_metrics(self, payload, query, headers) -> dict:
         return self.metrics.snapshot()
+
+    def _observe(self, route: str, status: int, seconds: float) -> None:
+        self._requests[(route, status)] += 1
+        if route == "/v1/cost" and status == 200:
+            self._latency.observe(seconds)
 
     # -- cluster cache warming ---------------------------------------------
     def _spec_keys(self, specs: list) -> list[tuple[str, str]]:
@@ -596,16 +616,16 @@ class ServiceServer:
                 await self._warm_client(peer)._request(
                     "POST", "/v1/store/push", body
                 )
-                self.metrics.warm_pushes_sent += 1
+                self.metrics.inc("warming.pushes_sent")
                 sent += 1
             except Unavailable:
-                self.metrics.warm_push_failures += 1
+                self.metrics.inc("warming.push_failures")
                 failed += 1
             except ServiceError:
-                self.metrics.warm_push_rejected += 1
+                self.metrics.inc("warming.push_rejected")
                 failed += 1
             except (ConnectionError, OSError, asyncio.TimeoutError):
-                self.metrics.warm_push_failures += 1
+                self.metrics.inc("warming.push_failures")
                 failed += 1
         if sent or failed:
             self.events.emit(

@@ -31,19 +31,7 @@ from repro.store.config import (
     namespace_dir,
     store_allowed,
 )
-from repro.store.metrics import (
-    STORE_METRICS,
-    NamespaceCounters,
-    StoreMetrics,
-    reset_store_metrics,
-    store_metrics_snapshot,
-)
-from repro.store.store import (
-    ArtifactStore,
-    Namespace,
-    NamespaceStats,
-    content_key,
-)
+from repro.store.store import ArtifactStore, Namespace, content_key
 
 __all__ = [
     "ArtifactStore",
@@ -52,20 +40,14 @@ __all__ = [
     "JsonCodec",
     "NAMESPACES",
     "Namespace",
-    "NamespaceCounters",
-    "NamespaceStats",
     "NpzCodec",
     "STORE_DIR_ENV",
     "STORE_ENV",
-    "STORE_METRICS",
-    "StoreMetrics",
     "content_key",
     "default_store_root",
     "get_codec",
     "namespace_allowed",
     "namespace_dir",
     "register_codec",
-    "reset_store_metrics",
     "store_allowed",
-    "store_metrics_snapshot",
 ]

@@ -42,8 +42,10 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.command == "stats":
         print(f"store root: {store.resolve_root()}")
         for name in NAMESPACES:
-            ns = store.namespace(name, _CODECS[name])
-            print("  " + ns.stats().describe())
+            c = store.namespace(name, _CODECS[name]).metrics[f"store.{name}"]
+            print(f"  {name}: {c['entries_memory']} in memory / "
+                  f"{c['entries_disk']} on disk ({c['disk_bytes']} bytes, "
+                  f"{c['pinned']} pinned)")
         return 0
 
     # clear

@@ -25,10 +25,11 @@ root, one key scheme, and one metrics surface:
   constructor caps or ``REPRO_STORE_<NS>_MAX_BYTES`` /
   ``REPRO_STORE_<NS>_MAX_ENTRIES``.
 * **Metrics** — every namespace counts hits (per tier), misses, puts,
-  evictions, bytes, and integrity failures, both privately
-  (:attr:`Namespace.counters`) and into the process-wide
-  :data:`~repro.store.metrics.STORE_METRICS` registry the service's
-  ``/metrics`` endpoint snapshots.
+  evictions, bytes, and integrity failures as ``store.<ns>.<counter>``
+  in its own registry (:attr:`Namespace.metrics`, which also reports
+  the namespace's contents), whose parent is the store's registry —
+  by default :data:`repro.metrics.PROCESS`, whose ``store`` section the
+  service's ``/metrics`` endpoint reports.
 
 The layer is deliberately network-serializable: an entry is one header
 line plus payload bytes, and the sharded cost-oracle cluster
@@ -40,23 +41,22 @@ corrupted-in-flight push is rejected rather than cached.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import re
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.metrics import PROCESS, Registry, hit_rate
 from repro.store import config
 from repro.store.codecs import Codec, get_codec
-from repro.store.metrics import STORE_METRICS, NamespaceCounters, StoreMetrics
 
 __all__ = [
     "ArtifactStore",
     "Namespace",
-    "NamespaceStats",
     "content_key",
     "ENVELOPE_MAGIC",
     "ENVELOPE_VERSION",
@@ -67,6 +67,43 @@ ENVELOPE_VERSION = 1
 
 _DEFAULT_MEMORY_ENTRIES = 4096
 _DEFAULT_MEMORY_BYTES = 64 << 20  # 64 MiB of decoded payloads
+
+#: What every namespace counts, as ``store.<ns>.<counter>``.
+_COUNTERS = (
+    "hits_memory", "hits_disk", "misses", "puts",
+    "bytes_written", "bytes_read",
+    "evictions_memory", "evictions_disk",
+    "integrity_failures", "quarantined", "io_errors",
+    "remote_puts", "remote_rejected", "remote_duplicates",
+    "hits_remote",
+)
+
+
+def _store_section(registry: Registry) -> dict:
+    """The ``store`` section's totals per namespace, and the standard
+    namespaces' counters while they are uncounted (after a reset).
+
+    The counters of a namespace opened since the last reset are
+    declared, so the registry renders them itself.
+    """
+    counts = registry.counts
+    section = {}
+    for ns in sorted({*config.NAMESPACES, *registry.children("store")}):
+        prefix = f"store.{ns}."
+        hits = counts.get(prefix + "hits_memory", 0) \
+            + counts.get(prefix + "hits_disk", 0)
+        section[ns] = {
+            "hits": hits,
+            "hit_rate": hit_rate(hits, counts.get(prefix + "misses", 0)),
+            "evictions": counts.get(prefix + "evictions_memory", 0)
+            + counts.get(prefix + "evictions_disk", 0),
+        }
+        if prefix + "puts" not in counts:
+            section[ns].update(dict.fromkeys(_COUNTERS, 0))
+    return section
+
+
+PROCESS.set("store", functools.partial(_store_section, PROCESS))
 
 
 def content_key(material: Any) -> str:
@@ -91,25 +128,6 @@ def _check_key(key: str) -> str:
     return key
 
 
-@dataclass(frozen=True)
-class NamespaceStats:
-    """Current contents of one namespace (counters live on
-    :attr:`Namespace.counters`)."""
-
-    namespace: str
-    entries_memory: int
-    entries_disk: int
-    disk_bytes: int
-    pinned: int
-
-    def describe(self) -> str:
-        return (
-            f"{self.namespace}: {self.entries_memory} in memory / "
-            f"{self.entries_disk} on disk ({self.disk_bytes} bytes, "
-            f"{self.pinned} pinned)"
-        )
-
-
 class Namespace:
     """One artifact type's keyed view of the store.
 
@@ -129,8 +147,7 @@ class Namespace:
         max_memory_bytes: int | None,
         max_disk_entries: int | None,
         max_disk_bytes: int | None,
-        counters: NamespaceCounters,
-        shared: NamespaceCounters,
+        parent: Registry,
     ) -> None:
         self.name = name
         self.codec = codec
@@ -140,9 +157,13 @@ class Namespace:
         self.max_memory_bytes = max_memory_bytes
         self.max_disk_entries = max_disk_entries
         self.max_disk_bytes = max_disk_bytes
-        #: This instance's private counters.
-        self.counters = counters
-        self._shared = shared
+        #: This instance's own counts (``store.<name>.*``, counted into
+        #: ``parent`` too) and contents (``entries_memory``,
+        #: ``entries_disk``, ``disk_bytes``, ``pinned``).
+        self.metrics = Registry(parent)
+        self._prefix = f"store.{name}."
+        self.metrics.declare(*(self._prefix + c for c in _COUNTERS))
+        self.metrics.set(f"store.{name}", self._contents)
         self._lru: "OrderedDict[str, tuple[Any, int]]" = OrderedDict()
         self._memory_bytes = 0
         self._pinned: set[str] = set()
@@ -154,10 +175,7 @@ class Namespace:
 
     # -- bookkeeping --------------------------------------------------------
     def _count(self, counter: str, amount: int = 1) -> None:
-        setattr(self.counters, counter,
-                getattr(self.counters, counter) + amount)
-        setattr(self._shared, counter,
-                getattr(self._shared, counter) + amount)
+        self.metrics.inc(self._prefix + counter, amount)
 
     # -- paths and framing --------------------------------------------------
     def path_of(self, key: str) -> Path:
@@ -286,14 +304,10 @@ class Namespace:
         _check_key(key)
         found = self._lru.get(key)
         if found is not None:
-            # Warm path: inlined counter bumps (dynamic `_count` costs a
-            # measurable fraction of a memory hit; see bench_store.py).
             self._lru.move_to_end(key)
-            self.counters.hits_memory += 1
-            self._shared.hits_memory += 1
+            self._count("hits_memory")
             if self._remote_keys and key in self._remote_keys:
-                self.counters.hits_remote += 1
-                self._shared.hits_remote += 1
+                self._count("hits_remote")
             return found[0]
         if self.persist:
             path = self.path_of(key)
@@ -554,15 +568,14 @@ class Namespace:
                         self._count("io_errors")
         return removed
 
-    def stats(self) -> NamespaceStats:
+    def _contents(self) -> dict:
         entries = self._disk_entries() if self.persist else []
-        return NamespaceStats(
-            namespace=self.name,
-            entries_memory=len(self._lru),
-            entries_disk=len(entries),
-            disk_bytes=sum(st.st_size for _, st in entries),
-            pinned=len(self._pinned),
-        )
+        return {
+            "entries_memory": len(self._lru),
+            "entries_disk": len(entries),
+            "disk_bytes": sum(st.st_size for _, st in entries),
+            "pinned": len(self._pinned),
+        }
 
 
 class ArtifactStore:
@@ -579,9 +592,9 @@ class ArtifactStore:
         Force disk persistence on/off for every namespace; default
         defers to ``REPRO_STORE`` / per-namespace switches.
     metrics:
-        The :class:`~repro.store.metrics.StoreMetrics` registry shared
-        counters go to (default the process-wide one ``/metrics``
-        snapshots).
+        The :class:`~repro.metrics.Registry` every namespace's counts
+        also go to, which then reports a ``store`` section (default
+        :data:`repro.metrics.PROCESS`, which ``/metrics`` reports).
     """
 
     def __init__(
@@ -589,11 +602,13 @@ class ArtifactStore:
         root: "Path | str | None" = None,
         *,
         persist: bool | None = None,
-        metrics: StoreMetrics | None = None,
+        metrics: Registry | None = None,
     ) -> None:
         self.root = Path(root) if root is not None else None
         self._persist = persist
-        self._metrics = metrics if metrics is not None else STORE_METRICS
+        self._metrics = metrics if metrics is not None else PROCESS
+        if metrics is not None:
+            metrics.set("store", functools.partial(_store_section, metrics))
 
     def resolve_root(self) -> Path:
         return self.root if self.root is not None \
@@ -642,10 +657,5 @@ class ArtifactStore:
             max_memory_bytes=max_memory_bytes,
             max_disk_entries=max_disk_entries,
             max_disk_bytes=max_disk_bytes,
-            counters=NamespaceCounters(),
-            shared=self._metrics.counters(name),
+            parent=self._metrics,
         )
-
-    def metrics_snapshot(self) -> dict:
-        """Per-namespace counters of this store's metrics registry."""
-        return self._metrics.snapshot()

@@ -39,8 +39,8 @@ class EventBus:
     """Bounded, seq-numbered event ring with async wakeups.
 
     All mutation happens on the owning event-loop thread (the same
-    discipline as :class:`~repro.service.metrics.ServiceMetrics`), so
-    no locks are needed.
+    discipline as the server's request counters), so no locks are
+    needed.
     """
 
     def __init__(

@@ -95,7 +95,7 @@ class MetricsRecorder:
     ----------
     source:
         Zero-arg callable returning a JSON-able dict (e.g.
-        ``ServiceMetrics.snapshot``).  Exceptions are counted, never
+        a server's ``Registry.snapshot``).  Exceptions are counted, never
         propagated — a broken gauge must not kill the sampling loop.
     resolution_s, retention:
         Sample cadence and per-series ring length; history spans

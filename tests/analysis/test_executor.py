@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro.analysis.executor import (
-    CacheStats,
     ResultCache,
     SweepExecutor,
     describe_measure,
@@ -121,6 +120,12 @@ class TestParallelIdentity:
             resolve_jobs(-1, 10)
 
 
+def _contents(ex: SweepExecutor) -> dict:
+    """The cache namespace's contents, as its registry reports them."""
+    ns = ex.cache.store_namespace
+    return ns.metrics[f"store.{ns.name}"]
+
+
 class TestCache:
     def test_warm_rerun_all_hits_no_recompute(self, cache_dir, count_file):
         ex = SweepExecutor(cache=True, cache_dir=cache_dir)
@@ -132,8 +137,8 @@ class TestCache:
         warm = warm_ex.run(cheap_measure, POINTS)
         assert warm == cold
         assert _invocations(count_file) == after_cold  # nothing re-measured
-        assert warm_ex.cache.hits == len(POINTS)
-        assert warm_ex.cache.misses == 0
+        assert warm_ex.metrics["cache.hits"] == len(POINTS)
+        assert warm_ex.metrics["cache.misses"] == 0
 
     def test_cache_env_off_forces_recompute(
         self, cache_dir, count_file, monkeypatch
@@ -201,29 +206,45 @@ class TestCache:
     def test_clear_and_stats(self, cache_dir):
         ex = SweepExecutor(cache=True, cache_dir=cache_dir, fingerprint="F")
         ex.run(cheap_measure, POINTS)
-        stats = ex.stats()
-        assert isinstance(stats, CacheStats)
-        assert stats.entries == len(POINTS)
-        assert stats.stale_entries == 0
-        assert stats.shards >= 1
-        assert stats.size_bytes > 0
-        assert ex.clear() == stats.shards
-        assert ex.stats().entries == 0
+        stats = _contents(ex)
+        assert stats["fingerprints"]["current"] == len(POINTS)
+        assert stats["fingerprints"]["stale"] == 0
+        assert stats["entries_disk"] >= 1
+        assert stats["disk_bytes"] > 0
+        assert ex.clear() == stats["entries_disk"]
+        assert _contents(ex)["fingerprints"]["current"] == 0
 
     def test_stats_counts_stale(self, cache_dir):
         SweepExecutor(
             cache=True, cache_dir=cache_dir, fingerprint="OLD"
         ).run(cheap_measure, POINTS)
-        stats = SweepExecutor(
+        stats = _contents(SweepExecutor(
             cache=True, cache_dir=cache_dir, fingerprint="NEW"
-        ).stats()
-        assert stats.entries == 0
-        assert stats.stale_entries == len(POINTS)
+        ))
+        assert stats["fingerprints"]["current"] == 0
+        assert stats["fingerprints"]["stale"] == len(POINTS)
 
     def test_no_cache_executor_stats_empty(self):
         ex = SweepExecutor(cache=False)
-        assert ex.stats() == CacheStats(0, 0, 0, 0, 0, 0)
+        assert ex.cache is None
+        assert ex.metrics.snapshot() == {
+            "cache": {"hits": 0, "misses": 0, "hit_rate": 0.0}}
         assert ex.clear() == 0
+
+    def test_malformed_record_replaced_on_first_recompute(
+        self, cache_dir, count_file
+    ):
+        ex = SweepExecutor(cache=True, cache_dir=cache_dir)
+        point = POINTS[0]
+        key = point_key(describe_measure(cheap_measure), point, mode=None,
+                        fingerprint=ex.fingerprint)
+        ex.cache.store_namespace.put(key, {"cycles": "not-a-number"})
+        results = [ex.run(cheap_measure, [point]) for _ in range(3)]
+        assert _invocations(count_file) == 1
+        assert ex.metrics["cache.misses"] == 1
+        assert ex.metrics["cache.hits"] == 2
+        expected = point.n * point.l + 7
+        assert [r[0].cycles for r in results] == [expected] * 3
 
 
 class TestProgress:

@@ -76,10 +76,10 @@ class TestFlatEquivalence:
                                           np.asarray(exp_value))
             assert_reports_equal(exp_report, report)
             assert report.engine == ("replay-capture" if i == 0 else "replay")
-        stats = default_store().stats()
-        assert stats.captures == 1
-        assert stats.hits == 2
-        assert stats.flagged_programs == 0
+        stats = default_store().metrics["trace_store"]
+        assert stats["captures"] == 1
+        assert stats["hits"] == 2
+        assert stats["flagged_programs"] == 0
 
     def test_convolution_matches(self):
         for latency in (3, 9):
@@ -89,7 +89,7 @@ class TestFlatEquivalence:
                      mode="replay").convolve(X64[:8], X256, 32)
             np.testing.assert_array_equal(ev[0], rp[0])
             assert_reports_equal(ev[1], rp[1])
-        assert default_store().stats().captures == 1
+        assert default_store().metrics["trace_store.captures"] == 1
 
     def test_partial_warp_round_robin_dispatch(self):
         """37 threads (ragged last warp) under round-robin dispatch."""
@@ -130,7 +130,7 @@ class TestFlatEquivalence:
         _, report = m.sum(X64, 16, trace=tr)
         assert report.engine == "event"
         assert tr.records  # the recorder really observed a run
-        assert default_store().stats().captures == 0
+        assert default_store().metrics["trace_store.captures"] == 0
 
 
 class TestHMMEquivalence:
@@ -156,8 +156,8 @@ class TestHMMEquivalence:
         np.testing.assert_array_equal(ev128[0], rp128[0])
         assert_reports_equal(ev16[1], rp16[1])
         assert_reports_equal(ev128[1], rp128[1])
-        stats = default_store().stats()
-        assert stats.captures == 1 and stats.hits == 1
+        stats = default_store().metrics["trace_store"]
+        assert stats["captures"] == 1 and stats["hits"] == 1
 
     def test_batch_event_replay_agree(self):
         """The three engines are one cost model in three implementations."""
@@ -179,8 +179,8 @@ class TestRefusals:
         out, report = m.sort(values, 32)
         np.testing.assert_array_equal(out, np.sort(values))
         assert report.engine == "replay-refused"
-        stats = default_store().stats()
-        assert stats.refusals >= 1 and stats.captures == 0
+        stats = default_store().metrics["trace_store"]
+        assert stats["refusals"] >= 1 and stats["captures"] == 0
 
     def test_non_oblivious_decorator(self):
         def looks_fine(warp):
@@ -204,7 +204,7 @@ class TestRefusals:
 
         report = eng.launch(prog, 16)
         assert report.engine == "replay-refused"
-        assert default_store().stats().refusals == 1
+        assert default_store().metrics["trace_store.refusals"] == 1
 
     def test_capture_overflow_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", "4")
@@ -256,17 +256,17 @@ class TestObliviousnessSelfCheck:
         a.set(np.zeros(16))
         r3 = eng.launch(sneaky, 8)
         assert r3.engine == "replay-refused"
-        stats = default_store().stats()
-        assert stats.flagged_programs == 1
-        assert stats.entries_memory == 0  # flagged traces evicted
+        stats = default_store().metrics["trace_store"]
+        assert stats["flagged_programs"] == 1
+        assert stats["entries_memory"] == 0  # flagged traces evicted
 
     def test_oblivious_program_not_flagged_by_new_data(self):
         for fill in (0.0, 7.0):
             m = DMM(MachineParams(width=4, latency=5), mode="replay")
             m.sum(np.full(64, fill), 16)
-        stats = default_store().stats()
-        assert stats.flagged_programs == 0
-        assert stats.captures == 2  # distinct data → distinct full keys
+        stats = default_store().metrics["trace_store"]
+        assert stats["flagged_programs"] == 0
+        assert stats["captures"] == 2  # distinct data → distinct full keys
 
 
 class TestTraceStorePersistence:
@@ -275,21 +275,23 @@ class TestTraceStorePersistence:
     def test_disk_hit_after_singleton_reset(self):
         m = DMM(MachineParams(width=4, latency=5), mode="replay")
         m.sum(X256, 32)
-        assert default_store().stats().entries_disk == 1
+        assert default_store().metrics["trace_store.entries_disk"] == 1
         reset_default_store()  # simulates a new process: memory LRU empty
         m2 = DMM(MachineParams(width=4, latency=9), mode="replay")
         _, report = m2.sum(X256, 32)
         assert report.engine == "replay"
-        stats = default_store().stats()
-        assert stats.hits_disk == 1 and stats.captures == 0
+        stats = default_store().metrics["trace_store"]
+        hits_disk = default_store().store_namespace.metrics[
+            "store.trace.hits_disk"]
+        assert hits_disk == 1 and stats["captures"] == 0
 
     def test_store_off_disables_disk(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_TRACE", "off")
         reset_default_store()
         m = DMM(MachineParams(width=4, latency=5), mode="replay")
         m.sum(X256, 32)
-        stats = default_store().stats()
-        assert stats.captures == 1 and stats.entries_disk == 0
+        stats = default_store().metrics["trace_store"]
+        assert stats["captures"] == 1 and stats["entries_disk"] == 0
 
     def test_compiled_trace_npz_roundtrip(self, tmp_path):
         m = DMM(MachineParams(width=4, latency=5), mode="replay")

@@ -92,10 +92,10 @@ class TestReplayBehavior:
             # Event-mode ground truth at the same latency.
             _, event = flat_cf_sort(make_dmm(width=8, latency=l), vals, 16)
             assert report.cycles == event.cycles
-        stats = default_store().stats()
-        assert stats.captures == 1
-        assert stats.hits >= 1
-        assert stats.refusals == 0
+        stats = default_store().metrics["trace_store"]
+        assert stats["captures"] == 1
+        assert stats["hits"] >= 1
+        assert stats["refusals"] == 0
 
     def test_cf_permutation_schedule_lives_in_the_key(self, rng):
         """Both schedules of the same permutation replay separately:
@@ -111,10 +111,10 @@ class TestReplayBehavior:
                                                   schedule=schedule)
                 assert np.allclose(out[perm], vals)
                 assert report.engine in ("replay-capture", "replay")
-        stats = default_store().stats()
-        assert stats.captures == 2  # one per schedule
-        assert stats.hits == 2
-        assert stats.refusals == 0
+        stats = default_store().metrics["trace_store"]
+        assert stats["captures"] == 2  # one per schedule
+        assert stats["hits"] == 2
+        assert stats["refusals"] == 0
 
     def test_naive_kernels_fall_back_to_event(self, rng):
         vals = rng.normal(size=64)
@@ -130,9 +130,9 @@ class TestReplayBehavior:
         assert np.allclose(out, np.sort(np.concatenate([a, b])))
         assert report.engine == "replay-refused"
 
-        stats = default_store().stats()
-        assert stats.refusals == 2
-        assert stats.captures == 0
+        stats = default_store().metrics["trace_store"]
+        assert stats["refusals"] == 2
+        assert stats["captures"] == 0
 
     def test_registry_presumption_backed_by_certificate(self):
         """The module-level presumption ('not listed => oblivious') is

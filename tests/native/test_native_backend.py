@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.metrics import PROCESS
 from repro.native import (
     BACKEND_ENV,
-    NATIVE_METRICS,
     native_available,
     native_kernels,
-    native_metrics_snapshot,
     reset_native,
     resolve_backend,
 )
@@ -32,10 +31,10 @@ def isolated_native(tmp_path, monkeypatch):
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     monkeypatch.delenv("CC", raising=False)
     reset_native()
-    NATIVE_METRICS.reset()
+    PROCESS.reset()
     yield
     reset_native()
-    NATIVE_METRICS.reset()
+    PROCESS.reset()
 
 
 class TestResolveBackend:
@@ -71,16 +70,16 @@ class TestResolveBackend:
 class TestBuildCache:
     def test_first_build_compiles_then_caches(self):
         reset_native()
-        NATIVE_METRICS.reset()
+        PROCESS.reset()
         assert native_kernels() is not None
-        assert NATIVE_METRICS.builds == 1
-        assert NATIVE_METRICS.build_cache_hits == 0
+        assert PROCESS["native.builds"] == 1
+        assert PROCESS["native.build_cache_hits"] == 0
         # Same process, new state: the materialized .so is reused
         # without invoking the compiler.
         reset_native()
         assert native_kernels() is not None
-        assert NATIVE_METRICS.builds == 1
-        assert NATIVE_METRICS.build_cache_hits == 1
+        assert PROCESS["native.builds"] == 1
+        assert PROCESS["native.build_cache_hits"] == 1
 
     def test_library_lands_in_store_namespace(self):
         assert native_kernels() is not None
@@ -104,10 +103,10 @@ class TestBuildCache:
         )
         (ns.directory / "lib" / f"{key}.so").unlink()
         reset_native()
-        NATIVE_METRICS.reset()
+        PROCESS.reset()
         assert native_kernels() is not None
-        assert NATIVE_METRICS.builds == 0
-        assert NATIVE_METRICS.build_cache_hits == 1
+        assert PROCESS["native.builds"] == 0
+        assert PROCESS["native.build_cache_hits"] == 1
         assert (ns.directory / "lib" / f"{key}.so").exists()
 
     def test_concurrent_first_calls_build_once(self):
@@ -130,7 +129,8 @@ class TestBuildCache:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(tables) == 8 and all(t is tables[0] for t in tables)
-        assert NATIVE_METRICS.builds + NATIVE_METRICS.build_cache_hits == 1
+        assert PROCESS["native.builds"] \
+            + PROCESS["native.build_cache_hits"] == 1
 
     def test_kernel_table_complete(self):
         kernels = native_kernels()
@@ -193,7 +193,7 @@ class TestMissingCompilerFallback:
     def test_warns_once_and_falls_back(self, monkeypatch):
         monkeypatch.setenv("CC", "/bin/false")
         reset_native()
-        NATIVE_METRICS.reset()
+        PROCESS.reset()
         assert not native_available()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -203,8 +203,8 @@ class TestMissingCompilerFallback:
                     if issubclass(w.category, RuntimeWarning)]
         assert len(relevant) == 1
         assert "falling back" in str(relevant[0].message)
-        assert NATIVE_METRICS.python_fallbacks == 2
-        assert NATIVE_METRICS.builds == 0
+        assert PROCESS["native.python_fallbacks"] == 2
+        assert PROCESS["native.builds"] == 0
 
     def test_engine_still_runs(self, monkeypatch, rng):
         """backend="native" without a compiler silently prices in
@@ -236,7 +236,7 @@ class TestMissingCompilerFallback:
 
 class TestMetricsSnapshot:
     def test_snapshot_shape(self):
-        snap = native_metrics_snapshot()
+        snap = PROCESS["native"]
         for field in ("native_calls", "python_fallbacks",
                       "build_cache_hits", "builds"):
             assert isinstance(snap[field], int)
@@ -244,14 +244,14 @@ class TestMetricsSnapshot:
         # Nothing has tried to build yet: availability is unknown, and
         # the snapshot must not trigger a compile to find out.
         assert snap["available"] is None
-        assert NATIVE_METRICS.builds == 0
+        assert PROCESS["native.builds"] == 0
 
     def test_snapshot_after_use(self):
         if not native_available():
             pytest.skip("no usable C compiler on this host")
-        snap = native_metrics_snapshot()
+        snap = PROCESS["native"]
         assert snap["available"] is True
 
     def test_invalid_env_reported(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "cuda")
-        assert native_metrics_snapshot()["default_backend"] == "invalid"
+        assert PROCESS["native"]["default_backend"] == "invalid"

@@ -17,7 +17,8 @@ from repro.machine.replay import (
     default_store,
     reset_default_store,
 )
-from repro.native import NATIVE_METRICS, native_available, reset_native
+from repro.metrics import PROCESS
+from repro.native import native_available, reset_native
 
 pytestmark = pytest.mark.skipif(
     not native_available(), reason="no usable C compiler on this host"
@@ -61,11 +62,11 @@ class TestBatchEquivalence:
         vp, rp = getattr(
             machine_cls(params, mode="batch", backend="python"), kernel
         )(X1024, 512)
-        before = NATIVE_METRICS.native_calls
+        before = PROCESS["native.native_calls"]
         vn, rn = getattr(
             machine_cls(params, mode="batch", backend="native"), kernel
         )(X1024, 512)
-        assert NATIVE_METRICS.native_calls > before
+        assert PROCESS["native.native_calls"] > before
         np.testing.assert_array_equal(np.asarray(vp), np.asarray(vn))
         assert_reports_equal(rp, rn)
 
@@ -119,12 +120,12 @@ class TestBatchEquivalence:
         monkeypatch.setenv("REPRO_BACKEND", "native")
         eng = make_umm(width=8, latency=12, mode="batch")
         assert eng.backend == "native"
-        NATIVE_METRICS.reset()
+        PROCESS.reset()
         vp, rp = UMM(MachineParams(width=8, latency=12), mode="batch",
                      backend="python").sum(X1024, 128)
         vn, rn = UMM(MachineParams(width=8, latency=12),
                      mode="batch").sum(X1024, 128)
-        assert NATIVE_METRICS.native_calls > 0
+        assert PROCESS["native.native_calls"] > 0
         assert vp == vn
         assert_reports_equal(rp, rn)
 
@@ -164,12 +165,12 @@ class TestReplayEquivalence:
                             latencies=lats, policies=policies,
                             pipelined=pips, dispatch=dispatch,
                         )
-                        before = NATIVE_METRICS.native_calls
+                        before = PROCESS["native.native_calls"]
                         rn, sn = ev_n.evaluate(
                             latencies=lats, policies=policies,
                             pipelined=pips, dispatch=dispatch,
                         )
-                        assert NATIVE_METRICS.native_calls > before
+                        assert PROCESS["native.native_calls"] > before
                         assert rp == rn
                         assert sp == sn
 
@@ -199,9 +200,9 @@ class TestReplayEquivalence:
                         kw = dict(latencies=[l] + [2] * (n - 1),
                                   policies=[policy] * n,
                                   pipelined=[True] * n, dispatch=dispatch)
-                        before = NATIVE_METRICS.native_calls
+                        before = PROCESS["native.native_calls"]
                         rn, sn = ev_n.evaluate(**kw)
-                        assert NATIVE_METRICS.native_calls > before
+                        assert PROCESS["native.native_calls"] > before
                         assert (rn, sn) == ev_p.evaluate(**kw)
 
     def test_concurrent_pricings_of_one_evaluator(self):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.service.batcher import MicroBatcher, Overloaded, RequestTimeout
 from repro.service.clock import ManualClock
-from repro.service.metrics import ServiceMetrics
+from repro.metrics import Registry
 
 
 class Recorder:
@@ -35,7 +35,7 @@ def run(coro):
 
 def make(evaluate, clock, **kwargs):
     defaults = dict(max_batch_size=4, max_wait_s=1.0, max_queue=8,
-                    timeout_s=100.0, metrics=ServiceMetrics(clock))
+                    timeout_s=100.0, metrics=Registry())
     defaults.update(kwargs)
     return MicroBatcher(evaluate, clock=clock, **defaults)
 
@@ -99,7 +99,7 @@ class TestCoalescing:
         async def main():
             clock = ManualClock()
             rec = Recorder()
-            metrics = ServiceMetrics(clock)
+            metrics = Registry()
             b = make(rec, clock, max_batch_size=10, max_wait_s=1.0,
                      metrics=metrics)
             await b.start()
@@ -109,7 +109,7 @@ class TestCoalescing:
             await clock.advance(1.0)
             assert [await t for t in tasks] == ["r:hot"] * 3
             assert rec.batches == [["hot"]]
-            assert metrics.coalesced == 2
+            assert metrics["batches.coalesced"] == 2
             await b.drain()
 
         run(main())
@@ -155,7 +155,7 @@ class TestAdmission:
             clock = ManualClock()
             gate = asyncio.Event()
             rec = Recorder(gate)
-            metrics = ServiceMetrics(clock)
+            metrics = Registry()
             b = make(rec, clock, max_batch_size=1, max_wait_s=0.0,
                      max_queue=2, metrics=metrics)
             await b.start()
@@ -166,7 +166,7 @@ class TestAdmission:
                 await b.submit("c", key="c")
             assert err.value.retry_after >= 1
             assert not err.value.draining
-            assert metrics.rejected == 1
+            assert metrics["rejected"] == 1
             gate.set()
             await t1, await t2
             await b.drain()
@@ -178,7 +178,7 @@ class TestAdmission:
             clock = ManualClock()
             gate = asyncio.Event()
             rec = Recorder(gate)
-            metrics = ServiceMetrics(clock)
+            metrics = Registry()
             b = make(rec, clock, max_batch_size=1, max_wait_s=0.0,
                      timeout_s=5.0, metrics=metrics)
             await b.start()
@@ -189,7 +189,7 @@ class TestAdmission:
             with pytest.raises(RequestTimeout):
                 await t1
             assert b.pending == 0
-            assert metrics.timeouts == 1
+            assert metrics["timeouts"] == 1
             gate.set()  # evaluation finishes late; nothing blows up
             await b.drain()
 

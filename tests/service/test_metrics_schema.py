@@ -2,10 +2,11 @@
 
 Dashboards, ``tools/bench_report.py`` and the outside-in benchmark read
 ``/metrics`` leaves by dotted path, so a renamed or dropped counter
-breaks them silently.  This test pins the full set of leaf paths after
-one request to each evaluation route; ``metrics_schema.txt`` beside it
-is the checked-in list.  A deliberate schema change edits that file in
-the same commit.
+breaks them silently.  These tests pin the full set of leaf paths after
+one request to each evaluation route, and the integer values of those
+leaves; ``metrics_schema.txt`` and ``metrics_counts.txt`` beside this
+file are the checked-in lists.  A deliberate schema or counting change
+edits them in the same commit.
 """
 
 from pathlib import Path
@@ -13,11 +14,12 @@ from pathlib import Path
 import pytest
 
 from repro.machine.replay import reset_default_store
+from repro.metrics import PROCESS
 from repro.service.client import ServiceClient
 from repro.service.server import BackgroundServer
-from repro.store import reset_store_metrics
 
 GOLDEN = Path(__file__).with_name("metrics_schema.txt")
+COUNTS = Path(__file__).with_name("metrics_counts.txt")
 
 #: Leaves the benchmark harness (``perfbench/``) reads.
 BENCHMARK_LEAVES = {
@@ -32,23 +34,33 @@ BENCHMARK_LEAVES = {
 }
 
 
-def leaf_paths(tree: dict, prefix: str = "") -> list[str]:
-    """Dotted paths of every non-dict value (and of empty dicts)."""
-    paths = []
+def leaves(tree: dict, prefix: str = "") -> dict:
+    """Every non-dict value (and every empty dict) by dotted path."""
+    out = {}
     for key, value in tree.items():
         path = f"{prefix}{key}"
         if isinstance(value, dict) and value:
-            paths.extend(leaf_paths(value, path + "."))
+            out.update(leaves(value, path + "."))
         else:
-            paths.append(path)
-    return paths
+            out[path] = value
+    return out
+
+
+def pinned(path: str, value) -> bool:
+    """Integer leaves, except those that vary between runs or hosts:
+    uptime and latency follow the clock, and byte counts follow the
+    numpy build's compression output."""
+    name = path.rsplit(".", 1)[-1]
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and path != "uptime_s" and not path.startswith("latency.")
+            and not name.startswith("bytes_") and name != "size_bytes")
 
 
 @pytest.fixture()
 def metrics_body(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
     monkeypatch.setenv("REPRO_BACKEND", "python")
-    reset_store_metrics()
+    PROCESS.reset()
     reset_default_store()
     try:
         # A sampling period longer than the test keeps the event counts
@@ -63,17 +75,31 @@ def metrics_body(tmp_path, monkeypatch):
             yield client.metrics()
     finally:
         reset_default_store()
-        reset_store_metrics()
+        PROCESS.reset()
 
 
 def test_metrics_leaf_paths_match_golden(metrics_body):
     expected = GOLDEN.read_text().split()
-    actual = sorted(leaf_paths(metrics_body))
+    actual = sorted(leaves(metrics_body))
     missing = sorted(set(expected) - set(actual))
     added = sorted(set(actual) - set(expected))
     assert actual == expected, (
         f"/metrics schema drifted from {GOLDEN.name}: "
         f"missing {missing}, added {added}"
+    )
+
+
+def test_metrics_counts_match_golden(metrics_body):
+    expected = dict(line.split() for line in COUNTS.read_text().splitlines())
+    actual = {path: str(value)
+              for path, value in leaves(metrics_body).items()
+              if pinned(path, value)}
+    drifted = {path: (expected.get(path), actual.get(path))
+               for path in sorted(set(expected) | set(actual))
+               if expected.get(path) != actual.get(path)}
+    assert not drifted, (
+        f"/metrics counts drifted from {COUNTS.name} (expected, actual): "
+        f"{drifted}"
     )
 
 

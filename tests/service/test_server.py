@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.terms import Params
 from repro.experiments.table1 import conv_task, sum_task
+from repro.metrics import Registry
 from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.protocol import DEFAULT_SEED
 from repro.service.server import BackgroundServer, ServiceServer
@@ -161,8 +162,7 @@ class _GatedOracle:
     def advise(self, spec):  # pragma: no cover - not used here
         raise AssertionError("advise not expected")
 
-    def cache_counters(self):
-        return (0, 0)
+    metrics = Registry()
 
     def close(self):
         pass

@@ -53,7 +53,7 @@ class TestConcurrentWriters:
         assert entry["key"] == KEY
         assert entry["writer"] in ("a", "b")
         assert entry["cycles"] == 199  # each writer's last write is whole
-        assert ns.counters.integrity_failures == 0
+        assert ns.metrics["store.sweep.integrity_failures"] == 0
         assert not ns.quarantine_dir.exists()
         # Exactly one entry file — no stray temp files left behind.
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
@@ -70,11 +70,12 @@ class TestFramedTransfer:
         blob = sender.get_framed(key)
         assert receiver.put_framed(key, blob) == "stored"
         assert receiver.get(key) == {"key": key, "cycles": 5}
-        assert receiver.counters.remote_puts == 1
-        assert receiver.counters.hits_remote == 1  # attributed to warming
+        assert receiver.metrics["store.sweep.remote_puts"] == 1
+        # attributed to warming
+        assert receiver.metrics["store.sweep.hits_remote"] == 1
         # Re-push is a duplicate, not an overwrite.
         assert receiver.put_framed(key, blob) == "duplicate"
-        assert receiver.counters.remote_duplicates == 1
+        assert receiver.metrics["store.sweep.remote_duplicates"] == 1
 
     def test_corrupted_in_flight_blob_is_rejected_not_stored(self,
                                                              tmp_path):
@@ -86,7 +87,7 @@ class TestFramedTransfer:
         blob[-3] ^= 0xFF  # bit-rot somewhere in the payload
 
         assert receiver.put_framed(key, bytes(blob)) == "rejected"
-        assert receiver.counters.remote_rejected == 1
+        assert receiver.metrics["store.sweep.remote_rejected"] == 1
         assert not receiver.contains(key)
         assert receiver.get(key) is None  # and no file was written
         assert not receiver.quarantine_dir.exists()
@@ -102,7 +103,7 @@ class TestFramedTransfer:
         sender.put(key, {"key": key, "cycles": 3})
 
         assert other.put_framed(key, sender.get_framed(key)) == "rejected"
-        assert other.counters.remote_rejected == 1
+        assert other.metrics["store.trace.remote_rejected"] == 1
         assert not other.contains(key)
 
     def test_truncated_frame_is_rejected(self, tmp_path):

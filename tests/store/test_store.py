@@ -13,22 +13,17 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.store import (
-    ArtifactStore,
-    STORE_METRICS,
-    content_key,
-    reset_store_metrics,
-    store_metrics_snapshot,
-)
+from repro.metrics import PROCESS
+from repro.store import ArtifactStore, content_key
 from repro.store import config as store_config
 from repro.store.store import ENVELOPE_MAGIC
 
 
 @pytest.fixture(autouse=True)
 def _fresh_metrics():
-    reset_store_metrics()
+    PROCESS.reset()
     yield
-    reset_store_metrics()
+    PROCESS.reset()
 
 
 @pytest.fixture
@@ -61,7 +56,7 @@ class TestKeysAndRoundtrip:
         # A fresh namespace instance has a cold memory tier: disk hit.
         ns = store.namespace("sweep")
         assert ns.get(key) == {"cycles": 9, "extra": {"a": 1}}
-        assert ns.counters.hits_disk == 1
+        assert ns.metrics["store.sweep.hits_disk"] == 1
 
     def test_npz_roundtrip(self, store):
         key = content_key("arrays")
@@ -114,9 +109,9 @@ class TestIntegrity:
         assert fresh.get(key) is None  # a miss, never a crash
         assert not path.exists()
         assert (fresh.quarantine_dir / path.name).exists()
-        assert fresh.counters.integrity_failures == 1
-        assert fresh.counters.quarantined == 1
-        assert fresh.counters.misses == 1
+        assert fresh.metrics["store.sweep.integrity_failures"] == 1
+        assert fresh.metrics["store.sweep.quarantined"] == 1
+        assert fresh.metrics["store.sweep.misses"] == 1
 
     def test_wrong_namespace_entry_rejected(self, store):
         sweep = store.namespace("sweep")
@@ -146,7 +141,7 @@ class TestEvictionAndPinning:
         k0, k1, k2 = _keys(3)
         for i, k in enumerate((k0, k1, k2)):
             ns.put(k, {"i": i})
-        assert ns.counters.evictions_memory == 1
+        assert ns.metrics["store.sweep.evictions_memory"] == 1
         assert ns.get(k0) is None
         assert ns.get(k2) == {"i": 2}
 
@@ -159,7 +154,7 @@ class TestEvictionAndPinning:
         ns.put(k0, {"i": 0})
         ns.put(k1, {"i": 1})
         # Over budget: evicts down to the single most recent entry.
-        assert ns.stats().entries_memory == 1
+        assert ns.metrics["store.sweep.entries_memory"] == 1
         assert ns.get(k1) == {"i": 1}
 
     def test_pinned_memory_entries_survive(self, store):
@@ -184,7 +179,7 @@ class TestEvictionAndPinning:
         on_disk = set(ns.keys())
         assert keys[0] in on_disk, "pinned entry evicted under pressure"
         assert len(on_disk) < 6
-        assert ns.counters.evictions_disk > 0
+        assert ns.metrics["store.sweep.evictions_disk"] > 0
         # The survivors besides the pin are the most recently written.
         assert keys[-1] in on_disk
 
@@ -242,7 +237,7 @@ class TestConcurrentWriters:
             entry = seen[content_key({"i": i})]
             assert entry["i"] == i
             assert entry["who"] in ("a", "b")  # last rename won
-        assert ns.counters.integrity_failures == 0
+        assert ns.metrics["store.sweep.integrity_failures"] == 0
         assert not list(ns.quarantine_dir.glob("*")) \
             if ns.quarantine_dir.is_dir() else True
 
@@ -255,7 +250,7 @@ class TestConcurrentWriters:
 
 class TestMetrics:
     def test_standard_namespaces_always_reported(self):
-        snap = store_metrics_snapshot()
+        snap = PROCESS["store"]
         assert set(snap) >= {"sweep", "trace", "tune"}
         assert snap["sweep"]["hits"] == 0
 
@@ -266,7 +261,7 @@ class TestMetrics:
         ns2.get(key)            # disk hit
         ns2.get(key)            # memory hit
         ns2.get(content_key("absent"))  # miss
-        snap = store_metrics_snapshot()["sweep"]
+        snap = PROCESS["store"]["sweep"]
         assert snap["puts"] == 1
         assert snap["hits_disk"] == 1
         assert snap["hits_memory"] == 1
@@ -280,13 +275,15 @@ class TestMetrics:
         b = store.namespace("sweep")
         a.put(key, {"v": 1})
         b.get(key)
-        assert a.counters.puts == 1 and a.counters.hits_disk == 0
-        assert b.counters.puts == 0 and b.counters.hits_disk == 1
+        assert a.metrics["store.sweep.puts"] == 1
+        assert a.metrics["store.sweep.hits_disk"] == 0
+        assert b.metrics["store.sweep.puts"] == 0
+        assert b.metrics["store.sweep.hits_disk"] == 1
 
     def test_reset(self, store):
         store.namespace("sweep").put(content_key("r"), {})
-        reset_store_metrics()
-        assert store_metrics_snapshot()["sweep"]["puts"] == 0
+        PROCESS.reset()
+        assert PROCESS["store"]["sweep"]["puts"] == 0
 
 
 class TestEnvShims:
@@ -346,7 +343,7 @@ class TestMaintenance:
         assert ns.get(keys[0]) is None  # quarantines
         removed = ns.clear()
         assert removed == 2
-        assert ns.stats().entries_disk == 0
+        assert ns.metrics["store.sweep.entries_disk"] == 0
         assert not list(ns.quarantine_dir.glob("*")) \
             if ns.quarantine_dir.is_dir() else True
         assert ns.get(keys[1]) is None
@@ -376,4 +373,4 @@ class TestMaintenance:
         assert main(["clear", "--root", str(root),
                      "--namespace", "sweep"]) == 0
         ns = ArtifactStore(root).namespace("sweep")
-        assert ns.stats().entries_disk == 0
+        assert ns.metrics["store.sweep.entries_disk"] == 0

@@ -209,7 +209,7 @@ class TestVerdicts:
         monkeypatch.setattr(BatchCostEngine, "run", batch_run)
         report = tune(task_name, shape=TASK_SHAPES[task_name],
                       latencies=LATS, mode="replay", cache=False)
-        stats = default_store().stats()
+        stats = default_store().metrics["trace_store"]
 
         evaluated = [config for config, _ in report.history]
         accepted = [c for c in evaluated if _replayable(task_name, c)]
@@ -219,17 +219,17 @@ class TestVerdicts:
                                 if k != "dispatch"}, sort_keys=True)
                     for c in accepted}
         assert accepted
-        assert stats.captures == len(launches)
+        assert stats["captures"] == len(launches)
         if task_name == "transpose":
-            assert stats.captures == report.evaluations
+            assert stats["captures"] == report.evaluations
 
         # Each verdict launch is a hit, or an event run where replay
         # refuses; neither captures.
         verdicts = [report.baseline.config, report.best.config]
         verdict_hits = sum(_replayable(task_name, c) for c in verdicts)
         refused_points = (len(evaluated) - len(accepted)) * len(LATS)
-        assert stats.refusals == refused_points + 2 - verdict_hits
-        assert stats.hits == (len(accepted) * len(LATS) - stats.captures
+        assert stats["refusals"] == refused_points + 2 - verdict_hits
+        assert stats["hits"] == (len(accepted) * len(LATS) - stats["captures"]
                               + verdict_hits)
 
 

@@ -242,13 +242,7 @@ class ResultCache:
 
     def get(self, key: str) -> tuple[int, dict] | None:
         payload = self._ns.get(key)
-        found: tuple[int, dict] | None = None
-        if isinstance(payload, dict):
-            try:
-                found = (int(payload["cycles"]),
-                         dict(payload.get("extra", {})))
-            except (ValueError, KeyError, TypeError):
-                found = None
+        found = _record(payload)
         if found is None:
             if payload is not None:
                 # Malformed record: drop it so the recomputation's
@@ -257,6 +251,19 @@ class ResultCache:
             self.metrics.inc("cache.misses")
             return None
         self.metrics.inc("cache.hits")
+        return found
+
+    def get_memory(self, key: str) -> tuple[int, dict] | None:
+        """:meth:`get` from the store's memory tier alone.
+
+        Never touches disk, so an event loop may call it.  A hit counts
+        exactly what :meth:`get` counts; a miss counts nothing here and
+        leaves a malformed record in place, so the :meth:`get` that
+        follows counts the miss once and drops the record.
+        """
+        found = _record(self._ns.get_memory(key))
+        if found is not None:
+            self.metrics.inc("cache.hits")
         return found
 
     def put(self, key: str, cycles: int, extra: dict) -> None:
@@ -282,6 +289,16 @@ class ResultCache:
             else:
                 stale += 1
         return {"current": current, "stale": stale}
+
+
+def _record(payload: Any) -> tuple[int, dict] | None:
+    """``(cycles, extra)`` of a stored record, ``None`` when malformed."""
+    if isinstance(payload, dict):
+        try:
+            return int(payload["cycles"]), dict(payload.get("extra", {}))
+        except (ValueError, KeyError, TypeError):
+            pass
+    return None
 
 
 def _jsonable_extra(extra: dict) -> dict:

@@ -197,7 +197,8 @@ def run_config(
     Returns a result row: requests served, throughput over the measured
     run time, latency quantiles, plus the server's own ``/metrics``
     snapshot (batch sizes, coalescing, evaluations, rejections, cache
-    hit rate).
+    hit rate, and ``bypassed``: memory-tier hits answered ahead of the
+    batcher).
     """
     with BackgroundServer(
         cache=cache, cache_dir=cache_dir, coalesce=coalesce,
@@ -218,6 +219,7 @@ def run_config(
         "mean_batch": batches["mean_size"],
         "max_batch": batches["max_size"],
         "coalesced": batches["coalesced"],
+        "bypassed": batches["bypassed"],
         "rejected": metrics["rejected"],
         "cache_hit_rate": metrics["cache"]["hit_rate"],
     }

@@ -78,7 +78,9 @@ class CostOracle:
 
     Thread-safe: the server calls :meth:`evaluate_batch` /
     :meth:`run_sweep` from worker threads (via ``run_in_executor``), and
-    a lock serializes access to the underlying executor and its cache.
+    a lock serializes access to the underlying executor.
+    :meth:`cached_cost` runs beside them without that lock: it only
+    reads the cache's memory tier, which the store guards itself.
 
     Parameters mirror :class:`~repro.analysis.executor.SweepExecutor`;
     ``jobs`` > 1 shards large batches/sweeps over a worker pool that is
@@ -110,6 +112,25 @@ class CostOracle:
         specs = [self._strip_auto_backend(s) for s in specs]
         points = self._run(specs, "service/cost")
         return [self._cost_body(spec, pt) for spec, pt in zip(specs, points)]
+
+    def cached_cost(self, spec: Mapping) -> dict | None:
+        """:meth:`evaluate_batch`'s body for one spec whose result the
+        cache's memory tier holds, else ``None``.
+
+        Reads no disk, evaluates nothing and never waits on the batch
+        in progress, so the event loop calls it ahead of the batcher.
+        A hit counts as the batched lookup would; a miss counts nothing,
+        and the :meth:`evaluate_batch` it goes on to counts it once.
+        """
+        cache = self.executor.cache
+        if cache is None:
+            return None
+        spec = self._strip_auto_backend(spec)
+        found = cache.get_memory(self._store_key(spec))
+        if found is None:
+            return None
+        cycles, extra = found
+        return self._cost_body(spec, SweepPoint(spec, cycles, extra))
 
     def run_sweep(self, meta: Mapping, specs: list[dict]) -> dict:
         """Evaluate an expanded ``/v1/sweep`` grid into one response."""
@@ -219,15 +240,13 @@ class CostOracle:
         cache = self.executor.cache
         if cache is None:
             return []
-        desc = describe_measure(evaluate_point)
-        return [
-            (
-                cache.namespace,
-                point_key(desc, self._strip_auto_backend(spec), mode=None,
-                          fingerprint=self.executor.fingerprint),
-            )
-            for spec in specs
-        ]
+        return [(cache.namespace, self._store_key(self._strip_auto_backend(s)))
+                for s in specs]
+
+    def _store_key(self, spec: Mapping) -> str:
+        """The executor's cache key for an auto-backend-stripped spec."""
+        return point_key(describe_measure(evaluate_point), spec, mode=None,
+                         fingerprint=self.executor.fingerprint)
 
     # -- observability / lifecycle ----------------------------------------
     def _cache_delta(self, before: dict) -> dict:

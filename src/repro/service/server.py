@@ -4,8 +4,10 @@ Stdlib only: a small, strict HTTP/1.1 handler on ``asyncio.start_server``
 (keep-alive supported, bodies bounded) routing to
 
 ========================  ==================================================
-``POST /v1/cost``         one cost query — coalesced and micro-batched
-                          through :class:`~repro.service.batcher.MicroBatcher`
+``POST /v1/cost``         one cost query — answered on the event loop when
+                          the result cache's memory tier holds it, else
+                          coalesced and micro-batched through
+                          :class:`~repro.service.batcher.MicroBatcher`
 ``POST /v1/sweep``        a parameter grid — routed whole through the
                           shared :class:`~repro.service.oracle.CostOracle`
                           executor (and its persistent cache)
@@ -151,6 +153,9 @@ class ServiceServer:
         self._requests = m.labeled("requests")
         m.set("requests_total", lambda: sum(self._requests.values()))
         self._latency = m.histogram("latency")
+        # /v1/cost requests answered from the memory tier, ahead of the
+        # batcher (the batcher counts the rest under ``batches.*``).
+        m.declare("batches.bypassed")
         # Cluster cache warming (see docs/CLUSTER.md).  Sender side:
         # framed entries pushed to replica peers; receiver side: pushes
         # accepted/deduplicated/rejected by the envelope check.
@@ -409,9 +414,17 @@ class ServiceServer:
 
     async def _route_cost(self, payload, query, headers) -> dict:
         spec = parse_cost_request(payload)
-        key = spec_key(spec) if self.coalesce else None
-        body = await self.batcher.submit(spec, key=key)
-        self._maybe_warm_push(headers, self._spec_keys([spec]))
+        # A memory-tier hit is answered here, without waiting for a
+        # batching window or a worker thread; misses (and every request
+        # while draining, which submit() refuses) go to the batcher.
+        body = None if self.batcher.draining \
+            else self.oracle.cached_cost(spec)
+        if body is None:
+            key = spec_key(spec) if self.coalesce else None
+            body = await self.batcher.submit(spec, key=key)
+        else:
+            self.metrics.inc("batches.bypassed")
+        self._maybe_warm_push(headers, [spec])
         return body
 
     async def _route_sweep(self, payload, query, headers) -> dict:
@@ -422,7 +435,7 @@ class ServiceServer:
         body = await loop.run_in_executor(
             None, self.oracle.run_sweep, meta, specs
         )
-        self._maybe_warm_push(headers, self._spec_keys(specs))
+        self._maybe_warm_push(headers, specs)
         return body
 
     async def _route_tune(self, payload, query, headers) -> dict:
@@ -433,7 +446,7 @@ class ServiceServer:
         body = await loop.run_in_executor(None, self.oracle.tune_spec, spec)
         # Tune artifact keys aren't derivable from the request alone;
         # the recent-put log drained by _maybe_warm_push covers them.
-        self._maybe_warm_push(headers, [])
+        self._maybe_warm_push(headers)
         return body
 
     async def _route_advise(self, payload, query, headers) -> dict:
@@ -556,25 +569,27 @@ class ServiceServer:
         return keys_of(specs) if keys_of is not None else []
 
     def _maybe_warm_push(
-        self, headers: dict[str, str],
-        explicit: list[tuple[str, str]],
+        self, headers: dict[str, str], specs: list = (),
     ) -> None:
         """Push store entries behind this request to replica peers.
 
         Runs only when the router marked the request hot by naming
         peers in :data:`WARM_PEERS_HEADER`.  What gets pushed: the
-        request's own store keys (``explicit`` — known even on a cache
-        hit, which matters right after promotion) plus everything the
-        process wrote since the last drain (tune/trace artifacts whose
-        keys only the executor knows).  Fire-and-forget: failures are
-        counted, never surfaced to the client.
+        store keys of the request's ``specs`` (known even on a cache
+        hit, which matters right after promotion; derived only when
+        peers are named) plus everything the process wrote since the
+        last drain (tune/trace artifacts whose keys only the executor
+        knows).  Fire-and-forget: failures are counted, never surfaced
+        to the client.
         """
         raw = headers.get(WARM_PEERS_HEADER, "")
         peers = [p.strip() for p in raw.split(",") if p.strip()]
-        entries = list(explicit)
-        for name, space in self._warm_spaces.items():
-            entries.extend((name, key) for key in space.drain_recent_puts())
-        if not peers or not entries:
+        recent = [(name, key) for name, space in self._warm_spaces.items()
+                  for key in space.drain_recent_puts()]
+        if not peers:
+            return
+        entries = self._spec_keys(specs) + recent
+        if not entries:
             return
         batch = [
             (peer, name, key)

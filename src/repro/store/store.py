@@ -46,6 +46,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Any, Iterator
@@ -134,6 +135,10 @@ class Namespace:
     Obtained from :meth:`ArtifactStore.namespace`; all reads and writes
     go through here.  Each instance owns its memory tier; the disk tier
     is shared with every other process pointing at the same directory.
+
+    Thread-safe: a server's batch thread, its store-push threads and its
+    event loop share one namespace.  One lock guards the memory tier's
+    state and is never held across encoding, decoding or disk I/O.
     """
 
     def __init__(
@@ -164,6 +169,8 @@ class Namespace:
         self._prefix = f"store.{name}."
         self.metrics.declare(*(self._prefix + c for c in _COUNTERS))
         self.metrics.set(f"store.{name}", self._contents)
+        # Guards the memory-tier state below.
+        self._lock = threading.Lock()
         self._lru: "OrderedDict[str, tuple[Any, int]]" = OrderedDict()
         self._memory_bytes = 0
         self._pinned: set[str] = set()
@@ -216,6 +223,11 @@ class Namespace:
             return None
         return payload
 
+    def _tmp_path(self, key: str) -> Path:
+        """A temp file no other writer, thread or process, can share."""
+        return self.directory / \
+            f".tmp-{os.getpid()}-{threading.get_ident()}-{key}"
+
     def _quarantine(self, path: Path) -> None:
         self._count("integrity_failures")
         try:
@@ -226,7 +238,22 @@ class Namespace:
             self._count("io_errors")
 
     # -- memory tier --------------------------------------------------------
+    def _memory_hit(self, key: str) -> "tuple[Any, int] | None":
+        """The memory tier's ``(artifact, nbytes)`` for ``key``, or
+        ``None``; a hit is refreshed and counted, a miss is not counted."""
+        with self._lock:
+            found = self._lru.get(key)
+            if found is None:
+                return None
+            self._lru.move_to_end(key)
+            remote = key in self._remote_keys
+        self._count("hits_memory")
+        if remote:
+            self._count("hits_remote")
+        return found
+
     def _remember(self, key: str, obj: Any, nbytes: int) -> None:
+        """Insert into the memory tier; call with the lock held."""
         old = self._lru.pop(key, None)
         if old is not None:
             self._memory_bytes -= old[1]
@@ -277,9 +304,10 @@ class Namespace:
                 and (self.max_disk_bytes is None
                      or total <= self.max_disk_bytes):
             return
+        pinned = self.pinned()
         for path, st in sorted(entries, key=lambda e: e[1].st_mtime):
             key = path.name.rsplit(".", 1)[0]
-            if key in self._pinned:
+            if key in pinned:
                 continue
             try:
                 path.unlink()
@@ -302,12 +330,8 @@ class Namespace:
         is promoted into the memory tier.  Corrupt entries quarantine.
         """
         _check_key(key)
-        found = self._lru.get(key)
+        found = self._memory_hit(key)
         if found is not None:
-            self._lru.move_to_end(key)
-            self._count("hits_memory")
-            if self._remote_keys and key in self._remote_keys:
-                self._count("hits_remote")
             return found[0]
         if self.persist:
             path = self.path_of(key)
@@ -329,12 +353,25 @@ class Namespace:
                     else:
                         self._count("hits_disk")
                         self._count("bytes_read", len(payload))
-                        if self._remote_keys and key in self._remote_keys:
+                        with self._lock:
+                            remote = key in self._remote_keys
+                            self._remember(key, obj, len(payload))
+                        if remote:
                             self._count("hits_remote")
-                        self._remember(key, obj, len(payload))
                         return obj
         self._count("misses")
         return None
+
+    def get_memory(self, key: str) -> Any | None:
+        """:meth:`get` from the memory tier alone: never touches disk.
+
+        A hit counts exactly what :meth:`get` counts for it; a miss
+        counts nothing, so a caller that falls back to :meth:`get`
+        counts that lookup once.
+        """
+        _check_key(key)
+        found = self._memory_hit(key)
+        return None if found is None else found[0]
 
     def put(
         self, key: str, obj: Any, *, pin: bool = False,
@@ -348,11 +385,12 @@ class Namespace:
         the last rename wins.
         """
         _check_key(key)
-        if pin:
-            self._pinned.add(key)
+        with self._lock:
+            if pin:
+                self._pinned.add(key)
+            in_memory = key in self._lru
         if skip_existing and (
-            key in self._lru
-            or (self.persist and self.path_of(key).exists())
+            in_memory or (self.persist and self.path_of(key).exists())
         ):
             return False
         # A memory-only namespace with no byte budget never needs the
@@ -362,14 +400,16 @@ class Namespace:
         else:
             payload = None
         self._count("puts")
-        self._remember(key, obj, len(payload) if payload is not None else 0)
-        if self._recent_puts is not None:
-            self._recent_puts.append(key)
+        with self._lock:
+            self._remember(key, obj,
+                           len(payload) if payload is not None else 0)
+            if self._recent_puts is not None:
+                self._recent_puts.append(key)
         if not self.persist:
             return True
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            tmp = self.directory / f".tmp-{os.getpid()}-{key}"
+            tmp = self._tmp_path(key)
             tmp.write_bytes(self._frame(key, payload))
             os.replace(tmp, self.path_of(key))
         except OSError:
@@ -382,19 +422,20 @@ class Namespace:
     def contains(self, key: str) -> bool:
         """Is ``key`` present (either tier), without counting a lookup?"""
         _check_key(key)
-        return key in self._lru or (
-            self.persist and self.path_of(key).exists()
-        )
+        with self._lock:
+            if key in self._lru:
+                return True
+        return self.persist and self.path_of(key).exists()
 
     def delete(self, key: str) -> bool:
         """Drop one entry from both tiers; ``True`` if anything existed."""
         _check_key(key)
-        existed = False
-        found = self._lru.pop(key, None)
-        if found is not None:
-            self._memory_bytes -= found[1]
-            existed = True
-        self._pinned.discard(key)
+        with self._lock:
+            found = self._lru.pop(key, None)
+            if found is not None:
+                self._memory_bytes -= found[1]
+            self._pinned.discard(key)
+        existed = found is not None
         if self.persist:
             try:
                 self.path_of(key).unlink()
@@ -430,7 +471,8 @@ class Namespace:
                     self._quarantine(path)
                 else:
                     return blob
-        found = self._lru.get(key)
+        with self._lock:
+            found = self._lru.get(key)
         if found is None:
             return None
         try:
@@ -464,15 +506,16 @@ class Namespace:
             self._count("remote_duplicates")
             return "duplicate"
         self._count("remote_puts")
-        self._remember(key, obj, len(payload))
-        self._remote_keys.add(key)
-        while len(self._remote_keys) > 8192:  # bounded attribution set
-            self._remote_keys.pop()
+        with self._lock:
+            self._remember(key, obj, len(payload))
+            self._remote_keys.add(key)
+            while len(self._remote_keys) > 8192:  # bounded attribution set
+                self._remote_keys.pop()
         if not self.persist:
             return "stored"
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            tmp = self.directory / f".tmp-{os.getpid()}-{key}"
+            tmp = self._tmp_path(key)
             tmp.write_bytes(bytes(blob))
             os.replace(tmp, self.path_of(key))
         except OSError:
@@ -489,35 +532,43 @@ class Namespace:
         arrived via :meth:`put_framed` are not, so shards never re-push
         what a peer just pushed to them.
         """
-        if self._recent_puts is None or self._recent_puts.maxlen != capacity:
-            self._recent_puts = deque(self._recent_puts or (),
-                                      maxlen=capacity)
+        with self._lock:
+            if self._recent_puts is None \
+                    or self._recent_puts.maxlen != capacity:
+                self._recent_puts = deque(self._recent_puts or (),
+                                          maxlen=capacity)
 
     def drain_recent_puts(self) -> list[str]:
         """Keys written locally since the last drain (oldest first)."""
-        if not self._recent_puts:
-            return []
-        out, self._recent_puts = (list(self._recent_puts),
-                                  deque(maxlen=self._recent_puts.maxlen))
+        with self._lock:
+            if not self._recent_puts:
+                return []
+            out = list(self._recent_puts)
+            self._recent_puts.clear()
         return out
 
     # -- pinning ------------------------------------------------------------
     def pin(self, key: str) -> None:
         """Exempt ``key`` from eviction in both tiers."""
-        self._pinned.add(_check_key(key))
+        _check_key(key)
+        with self._lock:
+            self._pinned.add(key)
 
     def unpin(self, key: str) -> None:
-        self._pinned.discard(key)
+        with self._lock:
+            self._pinned.discard(key)
 
     def pinned(self) -> frozenset[str]:
-        return frozenset(self._pinned)
+        with self._lock:
+            return frozenset(self._pinned)
 
     # -- enumeration and maintenance ----------------------------------------
     def keys(self) -> list[str]:
         """Keys present on disk (sorted); memory-only keys when not
         persisting."""
         if not self.persist:
-            return sorted(self._lru)
+            with self._lock:
+                return sorted(self._lru)
         return sorted(
             path.name.rsplit(".", 1)[0] for path, _ in self._disk_entries()
         )
@@ -531,8 +582,10 @@ class Namespace:
         skipped, not quarantined.
         """
         if not self.persist:
-            for key in sorted(self._lru):
-                yield key, self._lru[key][0]
+            with self._lock:
+                entries = [(key, self._lru[key][0])
+                           for key in sorted(self._lru)]
+            yield from entries
             return
         for key in self.keys():
             try:
@@ -550,8 +603,9 @@ class Namespace:
     def clear(self) -> int:
         """Drop every entry (memory, disk, quarantine); returns the
         number of disk entry files removed.  Pins survive."""
-        self._lru.clear()
-        self._memory_bytes = 0
+        with self._lock:
+            self._lru.clear()
+            self._memory_bytes = 0
         removed = 0
         if self.directory.is_dir():
             for path, _ in self._disk_entries():
@@ -570,11 +624,13 @@ class Namespace:
 
     def _contents(self) -> dict:
         entries = self._disk_entries() if self.persist else []
+        with self._lock:
+            in_memory, pinned = len(self._lru), len(self._pinned)
         return {
-            "entries_memory": len(self._lru),
+            "entries_memory": in_memory,
             "entries_disk": len(entries),
             "disk_bytes": sum(st.st_size for _, st in entries),
-            "pinned": len(self._pinned),
+            "pinned": pinned,
         }
 
 

@@ -13,6 +13,7 @@ shard's.
 import pytest
 
 from repro.cluster.supervisor import BackgroundCluster
+from repro.machine.replay import reset_default_store
 from repro.service.server import BackgroundServer
 
 from tests.cluster.util import raw_request
@@ -85,8 +86,23 @@ class TestGoldenBytes:
         assert warm_alone == warm_ring
         assert b'"hits": 4' in warm_alone[1]
 
-    def test_tune_bodies_identical(self, pair):
-        alone, ring = both(pair, "POST", "/v1/tune", TUNE_PAYLOAD)
+    def test_tune_bodies_identical(self, pair, tmp_path):
+        # A tune body names the evaluator behind each point
+        # ("replay-capture" or "replay"), and both sides run in this
+        # process: on one shared trace store the side that tunes first
+        # captures the traces the other replays.  Each side gets its own
+        # empty trace store, whatever the environment's store holds.
+        bodies = []
+        try:
+            with pytest.MonkeyPatch.context() as env:
+                for side, url in zip(("single", "ring"), pair):
+                    env.setenv("REPRO_STORE_TRACE_DIR", str(tmp_path / side))
+                    reset_default_store()
+                    bodies.append(raw_request(url, "POST", "/v1/tune",
+                                              TUNE_PAYLOAD))
+        finally:
+            reset_default_store()  # back to the environment's store
+        alone, ring = bodies
         assert alone == ring
         assert alone[0] == 200
 

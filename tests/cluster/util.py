@@ -7,7 +7,7 @@ from urllib.parse import urlsplit
 
 
 def raw_request(url: str, method: str, target: str, payload=None,
-                timeout: float = 60.0):
+                timeout: float = 60.0, headers: "dict | None" = None):
     """One HTTP request over a bare socket; returns (status, body_bytes).
 
     Byte-level on purpose: the golden-equivalence guarantee is about the
@@ -15,6 +15,8 @@ def raw_request(url: str, method: str, target: str, payload=None,
     """
     split = urlsplit(url)
     body = b"" if payload is None else json.dumps(payload).encode()
+    extra = "".join(f"{name}: {value}\r\n"
+                    for name, value in (headers or {}).items())
     with socket.create_connection((split.hostname, split.port),
                                   timeout=timeout) as sock:
         head = (
@@ -22,6 +24,7 @@ def raw_request(url: str, method: str, target: str, payload=None,
             f"Host: {split.hostname}:{split.port}\r\n"
             f"Content-Length: {len(body)}\r\n"
             "Content-Type: application/json\r\n"
+            f"{extra}"
             "Connection: close\r\n\r\n"
         )
         sock.sendall(head.encode() + body)

@@ -48,6 +48,7 @@ class TestRunConfig:
         assert row["rps"] == pytest.approx(
             row["requests"] / row["duration_s"], rel=0.01)
         assert row["batch_count"] >= 1
+        assert row["bypassed"] == 0  # no cache, so no memory-tier hits
 
     def test_in_flight_requests_count_against_wall_time(self):
         # Every request waits out a 0.2 s batching window (two clients

@@ -151,6 +151,9 @@ class _GatedOracle:
         self.gate = threading.Event()
         self.calls = 0
 
+    def cached_cost(self, spec):
+        return None  # every request goes through the batcher
+
     def evaluate_batch(self, specs):
         self.calls += 1
         assert self.gate.wait(timeout=30), "test never released the gate"

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -246,6 +247,83 @@ class TestConcurrentWriters:
         ns.put(content_key("z"), {"v": 1})
         names = [p.name for p in ns.directory.iterdir()]
         assert not [n for n in names if n.startswith(".tmp-")]
+
+
+class TestThreadSafety:
+    """Threads sharing one namespace: a server's batch thread writes the
+    sweep namespace while a ``/v1/store/push`` thread writes it too."""
+
+    # One trial caught the unlocked LRU in 35 of 36 runs; three make a
+    # pass by luck all but impossible.
+    @pytest.mark.parametrize("trial", range(3))
+    def test_concurrent_puts_keep_the_memory_tier_consistent(self, store,
+                                                             trial):
+        ns = store.namespace("sweep", persist=False, max_memory_entries=320)
+        # Pinned entries lead the LRU order, so every eviction walks
+        # past them: a long window for another thread's put to land in.
+        pins = _keys(256)
+        for key in pins:
+            ns.put(key, {"cycles": 0}, pin=True)
+        threads, per_thread = 8, 1000
+        keys = [[content_key({"t": t, "i": i}) for i in range(per_thread)]
+                for t in range(threads)]
+        errors = []
+        start = threading.Barrier(threads)
+
+        def write(mine: list[str]) -> None:
+            try:
+                start.wait(timeout=60)
+                for key in mine:
+                    ns.put(key, {"cycles": 1})
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=write, args=(mine,))
+                   for mine in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-7)  # switch threads as often as possible
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        puts = threads * per_thread
+        assert ns.metrics["store.sweep.puts"] == puts + len(pins)
+        # Every key is new, so all but the newest 64 were evicted.
+        assert ns.metrics["store.sweep.entries_memory"] == 320
+        assert ns.metrics["store.sweep.evictions_memory"] == puts - 64
+        assert all(ns.get(key) == {"cycles": 0} for key in pins)
+
+    def test_concurrent_writes_of_one_key_each_use_their_own_temp_file(
+            self, store):
+        ns = store.namespace("sweep")
+        key = content_key("shared")
+        errors = []
+        start = threading.Barrier(4)
+
+        def write(who: int) -> None:
+            try:
+                start.wait(timeout=60)
+                for i in range(100):
+                    ns.put(key, {"who": who, "i": i, "pad": "x" * 16384})
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=write, args=(who,))
+                   for who in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        # A shared temp file is renamed away under the other writers.
+        assert ns.metrics["store.sweep.io_errors"] == 0
+        assert store.namespace("sweep").get(key)["i"] == 99
 
 
 class TestMetrics:

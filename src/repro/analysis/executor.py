@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.metrics import Registry, hit_rate
 from repro.store import ArtifactStore
 from repro.store import config as _store_config
+from repro.store.config import repro_fingerprint
 
 __all__ = [
     "SweepPoint",
@@ -56,10 +57,6 @@ __all__ = [
     "repro_fingerprint",
     "resolve_jobs",
 ]
-
-#: Overrides the version fingerprint (useful for tests); it governs
-#: cache invalidation for every store namespace.
-FINGERPRINT_ENV = "REPRO_SWEEP_FINGERPRINT"
 
 _SCALARS = (bool, int, float, str, type(None))
 
@@ -102,17 +99,6 @@ class SweepProgress:
             f"({self.cache_hits} cached) in {self.elapsed_s:.2f}s"
             + (f", eta {self.eta_s:.1f}s" if self.done < self.total else "")
         )
-
-
-def repro_fingerprint() -> str:
-    """The cache-invalidation fingerprint: the repro version (or the
-    ``REPRO_SWEEP_FINGERPRINT`` override)."""
-    env = os.environ.get(FINGERPRINT_ENV)
-    if env:
-        return env
-    from repro import __version__  # deferred: repro imports this module
-
-    return f"repro-{__version__}"
 
 
 def resolve_jobs(jobs: int | str, num_points: int) -> int:

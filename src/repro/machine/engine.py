@@ -13,19 +13,19 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SpaceMismatchError
 from repro.machine.batch import BatchCostEngine, BatchFallback
-from repro.machine.memory import ArrayHandle, MemorySpace
+from repro.machine.memory import ArrayHandle, MemorySpace, attempt_with_rollback
 from repro.machine.ops import MemoryOp
 from repro.machine.pipeline import PipelinedMemoryUnit
 from repro.machine.policy import SlotPolicy
 from repro.machine.replay import replay_launch
 from repro.machine.report import RunReport
-from repro.machine.scheduler import Scheduler, SchedulerResult, WarpState
+from repro.machine.scheduler import Scheduler, WarpState
 from repro.machine.trace import TraceRecorder
 from repro.machine.warp import WarpContext, WarpProgram
 from repro.native import resolve_backend
 from repro.params import MachineParams
 
-__all__ = ["MachineEngine", "make_warp_contexts", "resolve_mode", "run_warp_program"]
+__all__ = ["MachineEngine", "make_warp_contexts", "resolve_mode", "run_launch"]
 
 _MODES = ("event", "batch", "replay")
 
@@ -46,54 +46,77 @@ def resolve_mode(mode: str) -> str:
     return mode
 
 
-def run_warp_program(
-    contexts: list[WarpContext],
+def run_launch(
+    engine,
     program: WarpProgram,
-    unit_for,
+    contexts: list[WarpContext],
+    num_threads: int,
     *,
-    spaces: list[MemorySpace],
-    units: list[PipelinedMemoryUnit],
+    mode: str | None,
     trace: TraceRecorder | None,
-    dispatch: str,
-    mode: str,
-    backend: str | None = None,
-) -> tuple[SchedulerResult, str]:
-    """Run ``program`` under the requested evaluation mode.
+    label: str,
+) -> RunReport:
+    """Evaluate one launch of ``program`` on ``engine`` and report its cost.
 
-    Shared entry point of the flat and hierarchical engines.  Returns the
-    scheduler result plus the engine tag recorded in the report:
+    The one launch path of :class:`MachineEngine` and
+    :class:`~repro.machine.hmm.HMMEngine`, which differ only in their
+    ``units`` / ``spaces`` and thread partition (``contexts``).
+    ``mode=None`` takes the engine's default.  The units restart from
+    time unit 0, then the evaluator is picked:
 
-    * ``mode="event"`` (or tracing / non-FIFO dispatch, which the batch
-      engine does not model) → event scheduler, tag ``"event"``;
-    * ``mode="batch"`` → :class:`BatchCostEngine`; on
-      :class:`BatchFallback` the ``spaces`` roll back their store undo
-      logs, the ``units`` reset, and the launch replays on the event
-      scheduler with tag ``"batch-fallback"``.
+    * ``mode="replay"`` without a recorder → :func:`replay_launch`:
+      a trace-store hit (tag ``"replay"``), a capture
+      (``"replay-capture"``) or a refusal (``"replay-refused"``, which
+      runs on the event scheduler);
+    * ``mode="batch"`` without a recorder under FIFO dispatch →
+      :class:`BatchCostEngine` (``"batch"``); on :class:`BatchFallback`
+      memory and units roll back and the launch runs on the event
+      scheduler (``"batch-fallback"``);
+    * anything else → the event scheduler (``"event"``).
 
-    Each attempt instantiates fresh generators from ``program``, so the
-    fallback replay is exact.
+    Each attempt instantiates fresh generators from ``program``, so a
+    launch finished by the event scheduler is exact.  The report lists
+    the first unit always and the others only when they saw traffic.
     """
-    if mode == "batch" and trace is None and dispatch == "fifo":
-        for space in spaces:
-            space.begin_undo()
-        warps = [WarpState(ctx=ctx, program=program(ctx)) for ctx in contexts]
-        try:
-            result = BatchCostEngine(unit_for, backend=backend).run(warps)
-        except BatchFallback:
-            for space in spaces:
-                space.rollback()
-            for unit in units:
-                unit.reset()
-            tag = "batch-fallback"
-        else:
-            for space in spaces:
-                space.end_undo()
-            return result, "batch"
-    else:
-        tag = "event"
-    warps = [WarpState(ctx=ctx, program=program(ctx)) for ctx in contexts]
-    scheduler = Scheduler(unit_for, trace=trace, dispatch=dispatch)
-    return scheduler.run(warps), tag
+    mode = engine.mode if mode is None else resolve_mode(mode)
+
+    def warps() -> list[WarpState]:
+        return [WarpState(ctx=ctx, program=program(ctx)) for ctx in contexts]
+
+    units = engine.units
+    for unit in units:
+        unit.reset()
+    result = stats = None
+    tag = "event"
+    if trace is None and mode == "replay":
+        result, stats, tag = replay_launch(program, contexts, engine)
+    elif trace is None and mode == "batch" and engine.dispatch == "fifo":
+        batch = BatchCostEngine(engine._unit_for, backend=engine.backend)
+        result = attempt_with_rollback(
+            lambda: batch.run(warps()), BatchFallback, engine.spaces, units
+        )
+        tag = "batch" if result is not None else "batch-fallback"
+    if result is None:
+        result = Scheduler(
+            engine._unit_for, trace=trace, dispatch=engine.dispatch
+        ).run(warps())
+    if stats is None:
+        stats = {unit.name: unit.stats for unit in units}
+    first = units[0].name
+    return RunReport(
+        cycles=result.cycles,
+        num_threads=num_threads,
+        num_warps=len(contexts),
+        unit_stats={
+            name: st for name, st in stats.items()
+            if name == first or st.transactions
+        },
+        compute_ops=result.compute_ops,
+        compute_cycles=result.compute_cycles,
+        barrier_releases=result.barrier_releases,
+        label=label,
+        engine=tag,
+    )
 
 
 def make_warp_contexts(
@@ -161,6 +184,9 @@ class MachineEngine:
         always run the pure-Python scheduler.
     """
 
+    #: Machine kind in replay launch keys.
+    kind = "flat"
+
     def __init__(
         self,
         params: MachineParams,
@@ -176,7 +202,7 @@ class MachineEngine:
         self.name = name
         #: Warp dispatch policy: "fifo" (default) or "round-robin".
         self.dispatch = dispatch
-        #: Default evaluation mode: "event" or "batch".
+        #: Default evaluation mode: "event", "batch" or "replay".
         self.mode = resolve_mode(mode)
         #: Cost-model backend: "python" or "native".
         self.backend = resolve_backend(backend)
@@ -184,6 +210,9 @@ class MachineEngine:
         self.unit = PipelinedMemoryUnit(
             "mem", params.width, params.latency, policy, pipelined=pipelined
         )
+        #: The spaces and units a launch touches (see :func:`run_launch`).
+        self.spaces = [self.space]
+        self.units = [self.unit]
 
     # -- memory management -----------------------------------------------
     def alloc(self, size: int, name: str = "") -> ArrayHandle:
@@ -219,58 +248,14 @@ class MachineEngine:
         restarts from time unit 0.  ``mode`` overrides the engine's
         default evaluation mode for this launch.
         """
-        run_mode = self.mode if mode is None else resolve_mode(mode)
-        self.unit.reset()
-        contexts = make_warp_contexts(num_threads, self.params.width)
-        if run_mode == "replay":
-            if trace is not None:
-                # A user-attached recorder needs a real run to observe.
-                run_mode = "event"
-            else:
-                result, stats, engine_tag = replay_launch(
-                    program=program,
-                    contexts=contexts,
-                    machine="flat",
-                    width=self.params.width,
-                    unit_names=("mem",),
-                    units=(self.unit,),
-                    spaces=(self.space,),
-                    unit_for=self._unit_for,
-                    dispatch=self.dispatch,
-                    backend=self.backend,
-                )
-                return RunReport(
-                    cycles=result.cycles,
-                    num_threads=num_threads,
-                    num_warps=len(contexts),
-                    unit_stats=stats if stats is not None else {"mem": self.unit.stats},
-                    compute_ops=result.compute_ops,
-                    compute_cycles=result.compute_cycles,
-                    barrier_releases=result.barrier_releases,
-                    label=label or self.name,
-                    engine=engine_tag,
-                )
-        result, engine_tag = run_warp_program(
-            contexts,
+        return run_launch(
+            self,
             program,
-            self._unit_for,
-            spaces=[self.space],
-            units=[self.unit],
+            make_warp_contexts(num_threads, self.params.width),
+            num_threads,
+            mode=mode,
             trace=trace,
-            dispatch=self.dispatch,
-            mode=run_mode,
-            backend=self.backend,
-        )
-        return RunReport(
-            cycles=result.cycles,
-            num_threads=num_threads,
-            num_warps=len(contexts),
-            unit_stats={"mem": self.unit.stats},
-            compute_ops=result.compute_ops,
-            compute_cycles=result.compute_cycles,
-            barrier_releases=result.barrier_releases,
             label=label or self.name,
-            engine=engine_tag,
         )
 
     # -- internals -----------------------------------------------------------

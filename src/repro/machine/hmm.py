@@ -20,12 +20,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, SpaceMismatchError
-from repro.machine.engine import make_warp_contexts, resolve_mode, run_warp_program
+from repro.machine.engine import make_warp_contexts, resolve_mode, run_launch
 from repro.machine.memory import ArrayHandle, MemorySpace
 from repro.machine.ops import MemoryOp
 from repro.machine.pipeline import PipelinedMemoryUnit
 from repro.machine.policy import DMMBankPolicy, SlotPolicy, UMMGroupPolicy
-from repro.machine.replay import replay_launch
 from repro.machine.report import RunReport
 from repro.machine.scheduler import WarpState
 from repro.machine.trace import TraceRecorder
@@ -72,6 +71,9 @@ class HMMEngine:
         ``None`` to defer to ``$REPRO_BACKEND``.
     """
 
+    #: Machine kind in replay launch keys.
+    kind = "hmm"
+
     def __init__(
         self,
         params: HMMParams,
@@ -86,7 +88,7 @@ class HMMEngine:
         self.params = params
         #: Warp dispatch policy: "fifo" (default) or "round-robin".
         self.dispatch = dispatch
-        #: Default evaluation mode: "event" or "batch".
+        #: Default evaluation mode: "event", "batch" or "replay".
         self.mode = resolve_mode(mode)
         #: Cost-model backend: "python" or "native".
         self.backend = resolve_backend(backend)
@@ -114,6 +116,10 @@ class HMMEngine:
                     pipelined=pipelined,
                 )
             )
+        #: The spaces and units a launch touches (see :func:`run_launch`);
+        #: the global unit comes first and is always reported.
+        self.spaces = [self.global_space, *self.shared_spaces]
+        self.units = [self.global_unit, *self.shared_units]
         self._space_to_unit: dict[int, PipelinedMemoryUnit] = {
             id(self.global_space): self.global_unit,
             **{id(s): u for s, u in zip(self.shared_spaces, self.shared_units)},
@@ -169,7 +175,6 @@ class HMMEngine:
         launches; pipeline timing restarts at 0.  ``mode`` overrides the
         engine's default evaluation mode for this launch.
         """
-        run_mode = self.mode if mode is None else resolve_mode(mode)
         if threads_per_dmm is None:
             shares = split_threads(num_threads, self.params.num_dmms)
         else:
@@ -191,10 +196,6 @@ class HMMEngine:
                 f"configured cap of {cap}"
             )
 
-        self.global_unit.reset()
-        for unit in self.shared_units:
-            unit.reset()
-
         contexts: list[WarpContext] = []
         first_tid = 0
         for dmm_id, share in enumerate(shares):
@@ -212,70 +213,14 @@ class HMMEngine:
             )
             first_tid += share
 
-        units = [self.global_unit, *self.shared_units]
-        spaces = [self.global_space, *self.shared_spaces]
-        if run_mode == "replay" and trace is None:
-            result, replay_stats, engine_tag = replay_launch(
-                program=program,
-                contexts=contexts,
-                machine="hmm",
-                width=self.params.width,
-                unit_names=[u.name for u in units],
-                units=units,
-                spaces=spaces,
-                unit_for=self._unit_for,
-                dispatch=self.dispatch,
-                backend=self.backend,
-            )
-            if replay_stats is not None:
-                stats = {"global": replay_stats["global"]}
-                for unit in self.shared_units:
-                    if replay_stats[unit.name].transactions:
-                        stats[unit.name] = replay_stats[unit.name]
-            else:
-                stats = {"global": self.global_unit.stats}
-                for unit in self.shared_units:
-                    if unit.stats.transactions:
-                        stats[unit.name] = unit.stats
-            return RunReport(
-                cycles=result.cycles,
-                num_threads=num_threads,
-                num_warps=len(contexts),
-                unit_stats=stats,
-                compute_ops=result.compute_ops,
-                compute_cycles=result.compute_cycles,
-                barrier_releases=result.barrier_releases,
-                label=label or "hmm",
-                engine=engine_tag,
-            )
-        if run_mode == "replay":
-            # A user-attached recorder needs a real run to observe.
-            run_mode = "event"
-        result, engine_tag = run_warp_program(
-            contexts,
+        return run_launch(
+            self,
             program,
-            self._unit_for,
-            spaces=spaces,
-            units=units,
+            contexts,
+            num_threads,
+            mode=mode,
             trace=trace,
-            dispatch=self.dispatch,
-            mode=run_mode,
-            backend=self.backend,
-        )
-        stats = {"global": self.global_unit.stats}
-        for unit in self.shared_units:
-            if unit.stats.transactions:
-                stats[unit.name] = unit.stats
-        return RunReport(
-            cycles=result.cycles,
-            num_threads=num_threads,
-            num_warps=len(contexts),
-            unit_stats=stats,
-            compute_ops=result.compute_ops,
-            compute_cycles=result.compute_cycles,
-            barrier_releases=result.barrier_releases,
             label=label or "hmm",
-            engine=engine_tag,
         )
 
     # -- internals ------------------------------------------------------------------

@@ -15,12 +15,15 @@ bank / address-group rules apply to).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro.errors import AddressError, AllocationError
 
-__all__ = ["MemorySpace", "ArrayHandle"]
+__all__ = ["MemorySpace", "ArrayHandle", "attempt_with_rollback"]
+
+_T = TypeVar("_T")
 
 
 class MemorySpace:
@@ -193,6 +196,36 @@ class MemorySpace:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"MemorySpace({self.name!r}, used={self._brk}/{self.capacity})"
+
+
+def attempt_with_rollback(
+    attempt: Callable[[], _T],
+    failure: type[Exception],
+    spaces: Sequence[MemorySpace],
+    units: Sequence,
+) -> _T | None:
+    """Run ``attempt()`` with every store to ``spaces`` undo-logged.
+
+    The guard shared by the batch attempt and the trace-capture run.  On
+    ``failure`` the stores are reverted newest first, ``units`` (anything
+    with ``reset()``) forget the abandoned attempt's traffic, and the
+    result is ``None``: the caller re-runs the launch on the event
+    scheduler.  The log closes on every exit; any other error propagates
+    with its stores standing, as it would from an event run.
+    """
+    for space in spaces:
+        space.begin_undo()
+    try:
+        return attempt()
+    except failure:
+        for space in spaces:
+            space.rollback()
+        for unit in units:
+            unit.reset()
+        return None
+    finally:
+        for space in spaces:
+            space.end_undo()
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ Pieces
 :class:`CompiledTrace`
     The compact structured-numpy-array form of a captured launch, plus
     the post-run memory state so a replayed launch still "produces" the
-    kernel's outputs.  Serializes to a single ``.npz`` file.
+    kernel's outputs.  The trace store's codec writes it as one ``.npz``
+    archive.
 
 :class:`ReplayCostEvaluator`
     Re-prices a trace under new unit parameters.  Slot counting is one
@@ -72,7 +73,6 @@ import hashlib
 import heapq
 import io
 import json
-import os
 import threading
 import types
 from dataclasses import dataclass, field
@@ -82,14 +82,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import KernelError, TraceOverflowError
-from repro.machine.memory import ArrayHandle, MemorySpace
+from repro.machine.memory import MemorySpace, attempt_with_rollback
 from repro.metrics import PROCESS, Registry, hit_rate
 from repro.native import native_kernels, resolve_backend
 from repro.native.cdefs import KERNELS as _NATIVE_KERNELS
 from repro.store import ArtifactStore
 from repro.store import config as _store_config
 from repro.machine.ops import AccessKind, BarrierScope
-from repro.machine.pipeline import PipelinedMemoryUnit, UnitStats
+from repro.machine.pipeline import UnitStats
 from repro.machine.policy import (
     DMMBankPolicy,
     IdealPolicy,
@@ -521,19 +521,6 @@ class CompiledTrace:
     def num_ops(self) -> int:
         return int(self.op_kind.size)
 
-    @property
-    def num_transactions(self) -> int:
-        return int(self.meta["transactions"])
-
-    @property
-    def nbytes(self) -> int:
-        arrays = (
-            self.op_warp, self.op_kind, self.op_unit, self.op_arg,
-            self.op_read, self.op_req, self.addr_off, self.addresses,
-            *self.post_state.values(),
-        )
-        return int(sum(a.nbytes for a in arrays))
-
     def addresses_of(self, i: int) -> np.ndarray:
         """Raw lane addresses of memory op ``i`` (a view)."""
         return self.addresses[self.addr_off[i] : self.addr_off[i + 1]]
@@ -610,19 +597,6 @@ class CompiledTrace:
             addresses=payload["addresses"],
             post_state=post_state,
         )
-
-    def save(self, path: "Path | str") -> None:
-        """Write the trace as one compressed ``.npz`` file (atomically)."""
-        path = Path(path)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **self.to_payload())
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: "Path | str") -> "CompiledTrace":
-        with np.load(Path(path)) as npz:
-            return cls.from_payload({name: npz[name] for name in npz.files})
 
     # -- compatibility -----------------------------------------------------
     def matches_launch(
@@ -1138,9 +1112,8 @@ class _TraceCodec:
     """``CompiledTrace`` ↔ compressed ``.npz`` bytes.
 
     Named ``npz`` on purpose: the payload *is* a plain ``.npz`` archive
-    (the byte format of :meth:`CompiledTrace.save`), so entries written
-    generically (the store CLI) and entries written here are mutually
-    readable.
+    of :meth:`CompiledTrace.to_payload`, so entries written generically
+    (the store CLI) and entries written here are mutually readable.
     """
 
     name = "npz"
@@ -1159,17 +1132,6 @@ class _TraceCodec:
 
 
 _TRACE_CODEC = _TraceCodec()
-
-
-def _trace_fingerprint() -> str:
-    """Cache-invalidation fingerprint; shares the sweep cache's override
-    knob (``REPRO_SWEEP_FINGERPRINT``) so one variable governs both."""
-    env = os.environ.get("REPRO_SWEEP_FINGERPRINT")
-    if env:
-        return env
-    from repro import __version__  # deferred: repro imports this module
-
-    return f"repro-{__version__}"
 
 
 class TraceStore:
@@ -1210,12 +1172,13 @@ class TraceStore:
             )
         self.max_entries = max(1, max_entries)
         if capture_limit is None:
-            raw = os.environ.get(CAPTURE_LIMIT_ENV)
-            capture_limit = int(raw) if raw else _DEFAULT_CAPTURE_LIMIT
+            capture_limit = _store_config.env_int(CAPTURE_LIMIT_ENV)
+            if capture_limit is None:
+                capture_limit = _DEFAULT_CAPTURE_LIMIT
         #: Max transactions captured per launch (None = unlimited);
         #: overflowing launches refuse replay instead of exhausting RAM.
         self.capture_limit = capture_limit if capture_limit > 0 else None
-        self.fingerprint = fingerprint or _trace_fingerprint()
+        self.fingerprint = fingerprint or _store_config.repro_fingerprint()
         self._ns = ArtifactStore().namespace(
             "trace",
             _TRACE_CODEC,
@@ -1239,9 +1202,6 @@ class TraceStore:
     def store_namespace(self):
         """The underlying :class:`repro.store.Namespace`."""
         return self._ns
-
-    def _path(self, key: str) -> Path:
-        return self._ns.path_of(key)
 
     # -- guard -------------------------------------------------------------
     def flagged(self, struct: str) -> bool:
@@ -1331,36 +1291,34 @@ def reset_default_store() -> None:
 
 
 def replay_launch(
-    *,
     program: Callable,
     contexts: Sequence[WarpContext],
-    machine: str,
-    width: int,
-    unit_names: Sequence[str],
-    units: Sequence[PipelinedMemoryUnit],
-    spaces: Sequence[MemorySpace],
-    unit_for,
-    dispatch: str,
-    store: TraceStore | None = None,
-    backend: "str | None" = None,
-) -> tuple[SchedulerResult, dict[str, UnitStats] | None, str]:
-    """Run one ``mode="replay"`` launch; returns ``(result, stats, tag)``.
+    engine,
+) -> tuple[SchedulerResult | None, dict[str, UnitStats] | None, str]:
+    """Decide one ``mode="replay"`` launch; returns ``(result, stats, tag)``.
+
+    ``engine`` is the launching :class:`~repro.machine.engine.MachineEngine`
+    or :class:`~repro.machine.hmm.HMMEngine`; its units have just been
+    reset by :func:`~repro.machine.engine.run_launch`.
 
     * trace-store hit → re-price the stored trace at the engine's
       current latencies/policies/dispatch, reinstate the captured
       post-run memory state, tag ``"replay"`` (``stats`` holds the
       per-unit statistics; the engine's own units saw no traffic);
     * miss → one instrumented event run captures the trace (undo-logged:
-      a capture-cap overflow rolls back and re-runs untraced), stores
+      a capture-cap overflow rolls back and counts as a refusal), stores
       it, tag ``"replay-capture"`` (``stats is None`` — the engine's
       units observed the run);
-    * refusal (non-oblivious / unkeyable / flagged / overflow) → plain
-      event run, tag ``"replay-refused"`` (``stats is None``).
+    * refusal (non-oblivious / unkeyable / flagged / overflow) →
+      ``result is None``, tag ``"replay-refused"``: the caller runs the
+      launch on the event scheduler.
     """
-    store = store if store is not None else default_store()
+    store = default_store()
+    width = engine.params.width
+    units, spaces = engine.units, engine.spaces
     key = derive_launch_key(
         program,
-        machine=machine,
+        machine=engine.kind,
         width=width,
         contexts=contexts,
         spaces=spaces,
@@ -1368,21 +1326,20 @@ def replay_launch(
     )
     if key is None or store.flagged(key.struct):
         store.note_refusal()
-        result = Scheduler(unit_for, dispatch=dispatch).run(
-            [WarpState(ctx=c, program=program(c)) for c in contexts]
-        )
-        return result, None, "replay-refused"
+        return None, None, "replay-refused"
 
+    unit_names = [unit.name for unit in units]
     trace = store.lookup(key)
     if trace is not None and trace.matches_launch(
-        machine=machine, width=width, contexts=contexts, unit_names=unit_names
+        machine=engine.kind, width=width, contexts=contexts,
+        unit_names=unit_names,
     ):
         result, stats = trace.evaluator().evaluate(
             latencies=[u.latency for u in units],
             policies=[u.policy for u in units],
             pipelined=[u.pipelined for u in units],
-            dispatch=dispatch,
-            backend=backend,
+            dispatch=engine.dispatch,
+            backend=engine.backend,
         )
         for space in spaces:
             cells = trace.post_state.get(space.name)
@@ -1390,30 +1347,22 @@ def replay_launch(
                 space.load_state(cells)
         return result, stats, "replay"
 
-    # Miss: capture with one instrumented event run.  The undo log lets a
-    # capture-cap overflow roll back cleanly and re-run untraced.
+    # Miss: capture with one instrumented event run.
     compiler = TraceCompiler(unit_names, max_transactions=store.capture_limit)
-    for space in spaces:
-        space.begin_undo()
-    try:
-        result = Scheduler(unit_for, trace=compiler, dispatch=dispatch).run(
-            [WarpState(ctx=c, program=program(c)) for c in contexts]
-        )
-    except TraceOverflowError:
-        for space in spaces:
-            space.rollback()
-        for unit in units:
-            unit.reset()
+    result = attempt_with_rollback(
+        lambda: Scheduler(
+            engine._unit_for, trace=compiler, dispatch=engine.dispatch
+        ).run([WarpState(ctx=c, program=program(c)) for c in contexts]),
+        TraceOverflowError,
+        spaces,
+        units,
+    )
+    if result is None:
         store.note_refusal()
-        result = Scheduler(unit_for, dispatch=dispatch).run(
-            [WarpState(ctx=c, program=program(c)) for c in contexts]
-        )
-        return result, None, "replay-refused"
-    for space in spaces:
-        space.end_undo()
+        return None, None, "replay-refused"
     trace = compiler.compile(
         contexts=contexts,
-        machine=machine,
+        machine=engine.kind,
         width=width,
         post_state={space.name: space.state() for space in spaces},
         fingerprint=store.fingerprint,

@@ -45,12 +45,17 @@ __all__ = [
     "namespace_dir",
     "namespace_env",
     "namespace_int",
+    "env_int",
+    "repro_fingerprint",
 ]
 
 #: Global off switch for on-disk persistence.
 STORE_ENV = "REPRO_STORE"
 #: Root directory override.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
+#: Overrides the version fingerprint (useful for tests); it governs
+#: cache invalidation for every store namespace.
+FINGERPRINT_ENV = "REPRO_SWEEP_FINGERPRINT"
 
 #: The standard namespaces (new ones are allowed; these always appear in
 #: the service's ``/metrics`` snapshot).  ``telemetry`` holds persisted
@@ -109,16 +114,31 @@ def namespace_dir(namespace: str, root: "Path | str | None" = None) -> Path:
     return base / namespace
 
 
-def namespace_int(namespace: str, suffix: str) -> int | None:
-    """An integer per-namespace knob (LRU / MAX_BYTES / MAX_ENTRIES);
-    ``None`` when unset or empty."""
-    raw = namespace_env(namespace, suffix)
+def env_int(var: str) -> int | None:
+    """The integer value of ``$var``; ``None`` when unset or empty."""
+    raw = os.environ.get(var)
     if raw is None or not raw.strip():
         return None
     try:
         return int(raw)
     except ValueError:
         raise ConfigurationError(
-            f"${_namespace_var(namespace, suffix)} must be an integer, "
-            f"got {raw!r}"
+            f"${var} must be an integer, got {raw!r}"
         ) from None
+
+
+def namespace_int(namespace: str, suffix: str) -> int | None:
+    """An integer per-namespace knob (LRU / MAX_BYTES / MAX_ENTRIES);
+    ``None`` when unset or empty."""
+    return env_int(_namespace_var(namespace, suffix))
+
+
+def repro_fingerprint() -> str:
+    """The cache-invalidation fingerprint: the repro version (or the
+    ``REPRO_SWEEP_FINGERPRINT`` override)."""
+    env = os.environ.get(FINGERPRINT_ENV)
+    if env:
+        return env
+    from repro import __version__  # deferred: repro imports this module
+
+    return f"repro-{__version__}"

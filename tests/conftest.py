@@ -48,3 +48,16 @@ def make_hmm(
         ),
         **kw,
     )
+
+
+def assert_reports_equal(expected, actual) -> None:
+    """Two launch reports agree on every number (not on the engine tag)."""
+    assert actual.cycles == expected.cycles
+    assert actual.num_threads == expected.num_threads
+    assert actual.num_warps == expected.num_warps
+    assert actual.compute_ops == expected.compute_ops
+    assert actual.compute_cycles == expected.compute_cycles
+    assert actual.barrier_releases == expected.barrier_releases
+    assert set(actual.unit_stats) == set(expected.unit_stats)
+    for name, stats in expected.unit_stats.items():
+        assert actual.unit_stats[name] == stats, name

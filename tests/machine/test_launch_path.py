@@ -1,0 +1,207 @@
+"""One launch path: every evaluator outcome on both engines.
+
+``MachineEngine`` and ``HMMEngine`` launch through one function, which
+picks the evaluator (event, batch, batch fallback, replay capture, hit
+or refusal).  Whatever it picks, the report carries the matching engine
+tag and the event run's numbers, and memory ends in the event run's
+image.  The tests also pin the shared rollback guard: an abandoned
+attempt leaves no stores behind and no undo log open.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from repro.errors import KernelError
+from repro.machine.replay import (
+    default_store,
+    non_oblivious,
+    reset_default_store,
+)
+from repro.machine.trace import TraceRecorder
+
+from conftest import assert_reports_equal, make_dmm, make_hmm
+
+NUM_THREADS = 16
+#: ``b`` cells past the launch's threads, which no program touches.
+UNTOUCHED = 8
+RNG = np.random.default_rng(20130520)
+A = RNG.standard_normal(NUM_THREADS)
+#: ``b[:NUM_THREADS]`` after one ``_accumulate`` launch (pre-launch -5).
+B_AFTER = -5.0 + A + 1.0
+
+
+@pytest.fixture(autouse=True)
+def isolated_store(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_STORE_TRACE_DIR", str(tmp_path / "traces"))
+    monkeypatch.delenv("REPRO_STORE_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_TRACE_CAPTURE_LIMIT", raising=False)
+    reset_default_store()
+    yield
+    reset_default_store()
+
+
+def _accumulate(a, b, scratch):
+    """``b[t] += a[t] + 1``, staged through shared memory on an HMM.
+
+    Read-modify-write: stores an abandoned attempt failed to undo would
+    be applied twice.
+    """
+
+    def prog(warp):
+        vals = yield warp.read(a, warp.tids)
+        if scratch is not None:
+            s = scratch[warp.dmm_id]
+            yield warp.write(s, warp.local_tids, vals)
+            vals = yield warp.read(s, warp.local_tids)
+        old = yield warp.read(b, warp.tids)
+        yield warp.write(b, warp.tids, old + vals + 1.0)
+
+    return prog
+
+
+def _early_exit(a, b, scratch):
+    """The other warps exit without the barrier warp 0 waits at: the
+    schedule the batch engine refuses (see ``test_batch_equivalence.py``)."""
+
+    def prog(warp):
+        if warp.warp_id == 0:
+            yield warp.barrier()
+            vals = yield warp.read(a, warp.lanes)
+            yield warp.write(b, warp.lanes, vals + 100.0)
+        else:
+            vals = yield warp.read(a, warp.lanes)
+            yield warp.write(b, warp.lanes + 4, vals + 1.0)
+            yield warp.read(b, warp.lanes + 4)
+
+    return prog
+
+
+def _early_exit_accumulate(a, b, scratch):
+    """The early-exit schedule with ``_accumulate``'s read-modify-write
+    stores on the exiting warps: a leaked batch store shows twice."""
+
+    def prog(warp):
+        if warp.warp_id == 0:
+            yield warp.barrier()
+            vals = yield warp.read(a, warp.lanes)
+            yield warp.write(b, warp.lanes, vals + 100.0)
+        else:
+            vals = yield warp.read(a, warp.tids)
+            old = yield warp.read(b, warp.tids)
+            yield warp.write(b, warp.tids, old + vals + 1.0)
+
+    return prog
+
+
+def _build(kind, mode):
+    """A fresh engine with ``a``, a padded ``b`` and (HMM) shared scratch."""
+    b_init = np.full(NUM_THREADS + UNTOUCHED, -5.0)
+    if kind == "flat":
+        eng = make_dmm(mode=mode)
+        return eng, eng.array_from(A, "a"), eng.array_from(b_init, "b"), None
+    eng = make_hmm(mode=mode)
+    a = eng.global_from(A, "a")
+    b = eng.global_from(b_init, "b")
+    return eng, a, b, eng.alloc_shared_all(NUM_THREADS, "s")
+
+
+class Launch(NamedTuple):
+    report: object
+    #: ``b`` after the launch.
+    b: np.ndarray
+    #: Every memory space's cells after the launch.
+    images: list
+
+
+def _launch(kind, mode, make_prog=_accumulate, *, mark=None, trace=None):
+    """Launch ``make_prog``'s program on a fresh engine."""
+    eng, a, b, scratch = _build(kind, mode)
+    prog = make_prog(a, b, scratch)
+    if mark is not None:
+        prog = mark(prog)
+    report = eng.launch(prog, NUM_THREADS, trace=trace)
+    return Launch(report, b.to_numpy(), [space.state() for space in eng.spaces])
+
+
+def _assert_matches(expected: Launch, actual: Launch, tag: str) -> None:
+    assert actual.report.engine == tag
+    assert_reports_equal(expected.report, actual.report)
+    assert len(actual.images) == len(expected.images)
+    for want, got in zip(expected.images, actual.images):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["flat", "hmm"])
+class TestLaunchOutcomes:
+    """Each outcome equals the event run: tag, numbers, memory image."""
+
+    def test_event(self, kind):
+        run = _launch(kind, "event")
+        assert run.report.engine == "event"
+        np.testing.assert_array_equal(run.b[:NUM_THREADS], B_AFTER)
+        if kind == "hmm":
+            assert "shared[0]" in run.report.unit_stats
+
+    def test_batch(self, kind):
+        _assert_matches(_launch(kind, "event"), _launch(kind, "batch"),
+                        "batch")
+
+    @pytest.mark.parametrize("make_prog", [_early_exit, _early_exit_accumulate])
+    def test_batch_fallback(self, kind, make_prog):
+        _assert_matches(_launch(kind, "event", make_prog),
+                        _launch(kind, "batch", make_prog),
+                        "batch-fallback")
+
+    def test_replay_capture_then_hit(self, kind):
+        expected = _launch(kind, "event")
+        _assert_matches(expected, _launch(kind, "replay"), "replay-capture")
+        _assert_matches(expected, _launch(kind, "replay"), "replay")
+        stats = default_store().metrics["trace_store"]
+        assert stats["captures"] == 1 and stats["hits"] == 1
+
+    def test_refusal(self, kind):
+        _assert_matches(_launch(kind, "event"),
+                        _launch(kind, "replay", mark=non_oblivious),
+                        "replay-refused")
+        assert default_store().metrics["trace_store.refusals"] == 1
+
+    def test_capture_overflow(self, kind, monkeypatch):
+        expected = _launch(kind, "event")
+        # Overflow on the last transaction, after other warps' stores.
+        limit = expected.report.total_transactions() - 1
+        monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", str(limit))
+        reset_default_store()
+        actual = _launch(kind, "replay")
+        _assert_matches(expected, actual, "replay-refused")
+        # The abandoned capture's stores were undone, not applied twice;
+        # cells the program never touched keep their pre-launch values.
+        np.testing.assert_array_equal(actual.b[:NUM_THREADS], B_AFTER)
+        np.testing.assert_array_equal(actual.b[NUM_THREADS:],
+                                      np.full(UNTOUCHED, -5.0))
+        stats = default_store().metrics["trace_store"]
+        assert stats["refusals"] == 1 and stats["captures"] == 0
+
+    def test_recorder_in_replay_mode(self, kind):
+        recorder = TraceRecorder()
+        _assert_matches(_launch(kind, "event"),
+                        _launch(kind, "replay", trace=recorder), "event")
+        assert recorder.records
+        assert default_store().metrics["trace_store.captures"] == 0
+
+
+@pytest.mark.parametrize("kind", ["flat", "hmm"])
+@pytest.mark.parametrize("mode", ["batch", "replay"])
+def test_failed_attempt_closes_undo_log(kind, mode):
+    """A kernel error inside a batch attempt or a capture propagates and
+    leaves no space logging its stores."""
+    eng, a, b, _ = _build(kind, mode)
+
+    def failing(warp):
+        yield warp.write(b, warp.tids, 1.0)
+        raise KernelError("boom")
+
+    with pytest.raises(KernelError, match="boom"):
+        eng.launch(failing, NUM_THREADS)
+    assert all(space._undo is None for space in eng.spaces)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import DMM, HMM, UMM, HMMParams, MachineParams
-from repro.errors import TraceOverflowError
+from repro.errors import ConfigurationError, TraceOverflowError
 from repro.machine.engine import MachineEngine
 from repro.machine.policy import DMMBankPolicy
 from repro.machine.replay import (
@@ -28,6 +28,8 @@ from repro.machine.replay import (
 )
 from repro.machine.trace import TraceRecorder
 from repro.params import MachineParams as MP
+
+from conftest import assert_reports_equal
 
 RNG = np.random.default_rng(20130520)
 X256 = RNG.standard_normal(256)
@@ -43,18 +45,6 @@ def isolated_store(tmp_path, monkeypatch):
     reset_default_store()
     yield
     reset_default_store()
-
-
-def assert_reports_equal(expected, actual):
-    assert actual.cycles == expected.cycles
-    assert actual.num_threads == expected.num_threads
-    assert actual.num_warps == expected.num_warps
-    assert actual.compute_ops == expected.compute_ops
-    assert actual.compute_cycles == expected.compute_cycles
-    assert actual.barrier_releases == expected.barrier_releases
-    assert set(actual.unit_stats) == set(expected.unit_stats)
-    for name, stats in expected.unit_stats.items():
-        assert actual.unit_stats[name] == stats, name
 
 
 class TestFlatEquivalence:
@@ -215,6 +205,18 @@ class TestRefusals:
         assert value == pytest.approx(
             DMM(MachineParams(width=4, latency=5)).sum(X256, 16)[0])
 
+    def test_malformed_capture_limit_is_a_configuration_error(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", "lots")
+        reset_default_store()
+        m = DMM(MachineParams(width=4, latency=5), mode="replay")
+        with pytest.raises(
+            ConfigurationError,
+            match=r"\$REPRO_TRACE_CAPTURE_LIMIT must be an integer, got 'lots'",
+        ):
+            m.sum(X64, 16)
+
     def test_trace_compiler_overflow_raises(self):
         eng = MachineEngine(MP(width=4, latency=5), DMMBankPolicy(),
                             name="dmm")
@@ -298,9 +300,13 @@ class TestTraceStorePersistence:
         m.sum(X64, 16)
         store = default_store()
         (key, trace), = store.store_namespace.scan()
+        codec = store.store_namespace.codec
         path = tmp_path / "t.npz"
-        trace.save(path)
-        loaded = CompiledTrace.load(path)
+        path.write_bytes(codec.encode(trace))
+        with np.load(path) as npz:  # a plain .npz archive
+            assert set(npz.files) == set(trace.to_payload())
+        loaded = codec.decode(path.read_bytes())
+        assert isinstance(loaded, CompiledTrace)
         assert loaded.signature() == trace.signature()
         assert loaded.meta["machine"] == trace.meta["machine"]
         ev = loaded.evaluator()

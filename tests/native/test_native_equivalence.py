@@ -9,7 +9,7 @@ machines, dispatch policies, latencies, and partial warps.
 import numpy as np
 import pytest
 
-from conftest import make_dmm, make_hmm, make_umm
+from conftest import assert_reports_equal, make_dmm, make_hmm, make_umm
 from repro import DMM, HMM, UMM, HMMParams, MachineParams
 from repro.machine.policy import DMMBankPolicy, IdealPolicy, UMMGroupPolicy
 from repro.machine.replay import (
@@ -38,16 +38,6 @@ def isolated(tmp_path, monkeypatch):
     yield
     reset_default_store()
     reset_native()
-
-
-def assert_reports_equal(expected, actual):
-    assert actual.cycles == expected.cycles
-    assert actual.compute_ops == expected.compute_ops
-    assert actual.compute_cycles == expected.compute_cycles
-    assert actual.barrier_releases == expected.barrier_releases
-    assert set(actual.unit_stats) == set(expected.unit_stats)
-    for name, stats in expected.unit_stats.items():
-        assert actual.unit_stats[name] == stats, name
 
 
 class TestBatchEquivalence:

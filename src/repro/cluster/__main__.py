@@ -100,14 +100,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     hot_window_s=args.hot_window_s,
                 )
                 await router.start()
-                import signal
-
-                loop = asyncio.get_running_loop()
-                for sig in (signal.SIGTERM, signal.SIGINT):
-                    loop.add_signal_handler(
-                        sig,
-                        lambda: asyncio.ensure_future(router.shutdown()),
-                    )
+                router.install_signal_handlers()
                 print(f"repro-cluster router on {router.url} "
                       f"({args.shards} shards, replicas={args.replicas})",
                       flush=True)

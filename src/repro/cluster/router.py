@@ -45,30 +45,22 @@ from __future__ import annotations
 import asyncio
 import json
 from collections import Counter
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import urlsplit
 
 from repro.cluster.hotkeys import HotKeyTracker
 from repro.cluster.ring import HashRing
-from repro.metrics import Registry
 from repro.service.clock import Clock
-from repro.service.http import (
-    HttpError,
-    error_body,
-    read_request,
-    write_response,
-)
+from repro.service.http import HttpError, error_body, exchange
 from repro.service.protocol import (
     ProtocolError,
     parse_advise_request,
     parse_cost_request,
-    parse_events_query,
     parse_ring_change,
     spec_key,
 )
-from repro.service.server import WARM_PEERS_HEADER
-from repro.telemetry.events import DEFAULT_CAPACITY, EventBus
+from repro.service.server import WARM_PEERS_HEADER, FrontDoor, Request
+from repro.telemetry.events import DEFAULT_CAPACITY
 from repro.telemetry.series import MetricsRecorder
-from repro.telemetry.stream import stream_over_http
 
 __all__ = ["ClusterRouter"]
 
@@ -79,8 +71,15 @@ _SHARD_ERRORS = (ConnectionError, OSError, asyncio.TimeoutError,
 #: Response headers the router relays from the shard to the client.
 _RELAYED_HEADERS = ("retry-after",)
 
+#: The routes a shard answers and the router forwards.
+_FORWARDED_ROUTES = (
+    ("POST", "/v1/cost"), ("POST", "/v1/sweep"), ("POST", "/v1/tune"),
+    ("GET", "/v1/advise"), ("POST", "/v1/store/push"),
+    ("GET", "/v1/store/pull"),
+)
 
-class ClusterRouter:
+
+class ClusterRouter(FrontDoor):
     """Route requests onto a fixed set of shard URLs.
 
     Parameters
@@ -109,6 +108,9 @@ class ClusterRouter:
         :mod:`repro.telemetry`).
     """
 
+    #: Lifecycle events are ``router.start`` / ``router.drain``.
+    kind = "router"
+
     def __init__(
         self,
         shard_urls: list[str],
@@ -132,9 +134,20 @@ class ClusterRouter:
     ) -> None:
         if not shard_urls:
             raise ValueError("a cluster needs at least one shard URL")
-        self.host = host
-        self.port = port
-        self.clock = clock or Clock()
+        #: Ring-level counters, rendered under ``/metrics`` → ``cluster``
+        #: → ``router``; ``requests`` counts (path, status) as seen by
+        #: *clients* of the router.
+        super().__init__(
+            {
+                ("GET", "/healthz"): self._route_healthz,
+                ("GET", "/metrics"): self._route_metrics,
+                ("POST", "/v1/ring/add"): self._route_ring_add,
+                ("POST", "/v1/ring/drain"): self._route_ring_drain,
+                **dict.fromkeys(_FORWARDED_ROUTES, self._route_forward),
+            },
+            host=host, port=port, clock=clock, metrics=None,
+            event_capacity=event_capacity,
+        )
         self.ring = HashRing(shard_urls, vnodes=vnodes)
         self._replicas_target = max(1, replicas)
         self.replicas = max(1, min(replicas, len(self.ring.shards)))
@@ -142,15 +155,7 @@ class ClusterRouter:
             window_s=hot_window_s, buckets=10, top_k=hot_top_k,
             min_count=hot_min_count, clock=self.clock,
         )
-        #: Ring-level counters, rendered under ``/metrics`` → ``cluster``
-        #: → ``router``.
-        self.metrics = m = Registry()
-        started = self.clock.monotonic()
-        m.set("uptime_s",
-              lambda: round(self.clock.monotonic() - started, 3))
-        #: (path, status) -> count, as seen by *clients* of the router.
-        self._requests = m.labeled("requests")
-        m.set("requests_total", lambda: sum(self._requests.values()))
+        m = self.metrics
         #: shard url -> requests forwarded there (attempts that got a
         #: response, successful or not).
         self._forwards = m.labeled("forwards")
@@ -172,21 +177,12 @@ class ClusterRouter:
         self._rr: Counter = Counter()      # hot key -> round-robin cursor
         self._hot_cache: list[str] = []
         self._hot_cache_at = -1.0
-        self._server: asyncio.Server | None = None
         self._health_task: asyncio.Task | None = None
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._shutdown_started = False
-        self._stopped = asyncio.Event()
         # Telemetry: the router's own bus carries its lifecycle +
         # routing events, and (with multiplex on) every shard's feed,
         # re-emitted in arrival order under router-assigned seqs.
         self.multiplex = multiplex
         self.poll_timeout_s = poll_timeout_s
-        self.events = EventBus(capacity=event_capacity, clock=self.clock)
-        self._stream_stop = asyncio.Event()
-        self._stream_tasks: set[asyncio.Task] = set()
         self.recorder = MetricsRecorder(
             self.metrics.snapshot,
             resolution_s=telemetry_resolution_s,
@@ -201,10 +197,7 @@ class ClusterRouter:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         self._health_task = asyncio.ensure_future(self._health_loop())
         self._recorder_task = asyncio.ensure_future(self.recorder.run())
         if self.multiplex:
@@ -213,33 +206,8 @@ class ClusterRouter:
         self.events.emit("router.start", port=self.port,
                          shards=len(self.ring.shards))
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._stopped.wait()
-
-    async def shutdown(self) -> None:
-        """Graceful ring drain: stop accepting, finish in-flight relays."""
-        if self._shutdown_started:
-            await self._stopped.wait()
-            return
-        self._shutdown_started = True
-        # Drain sentinel first, stop flag right after: open SSE streams
-        # deliver the sentinel as their last frame and close cleanly.
-        self.events.emit("router.drain", port=self.port)
-        self._stream_stop.set()
-        if self._stream_tasks:
-            await asyncio.wait(self._stream_tasks, timeout=5)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=30)
-        except asyncio.TimeoutError:
-            pass
+    async def _drain(self) -> None:
+        """After in-flight relays: stop probing, sampling and muxing."""
         background = [self._health_task, self._recorder_task,
                       *self._mux_tasks.values()]
         self._mux_tasks = {}
@@ -251,11 +219,6 @@ class ClusterRouter:
                 await task
             except asyncio.CancelledError:
                 pass
-        self._stopped.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._shutdown_started
 
     # -- liveness ----------------------------------------------------------
     def alive_shards(self) -> list[str]:
@@ -288,120 +251,24 @@ class ClusterRouter:
                 except Exception:  # noqa: BLE001 - any failure = down
                     self._mark(url, False)
 
-    # -- connection handling ----------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    parsed = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer, exc.status, exc.body, exc.headers, False
-                    )
-                    break
-                if parsed is None:
-                    break
-                method, target, http_version, headers, payload, raw = parsed
-                path = urlsplit(target).path
-                if method == "GET" and path == "/v1/events":
-                    query = dict(parse_qsl(urlsplit(target).query))
-                    if query.get("mode", "sse") == "sse":
-                        # SSE bypasses write_response (no Content-Length)
-                        # and the inflight gauge (a stream must not hold
-                        # the drain barrier open).
-                        await self._stream_events(writer, query, path)
-                        break
-                self._inflight += 1
-                self._idle.clear()
-                try:
-                    status, body, extra = await self._dispatch(
-                        method, target, path, payload, raw
-                    )
-                except HttpError as exc:
-                    status, body, extra = exc.status, exc.body, exc.headers
-                except Exception as exc:  # noqa: BLE001 - last resort
-                    status = 500
-                    body = error_body("internal",
-                                      f"{type(exc).__name__}: {exc}")
-                    extra = {}
-                finally:
-                    self._inflight -= 1
-                    if self._inflight == 0:
-                        self._idle.set()
-                self._requests[(path, status)] += 1
-                keep_alive = (
-                    not self._shutdown_started
-                    and http_version != "HTTP/1.0"
-                    and headers.get("connection", "").lower() != "close"
-                )
-                await write_response(writer, status, body, extra, keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     # -- routing -----------------------------------------------------------
-    async def _dispatch(
-        self, method: str, target: str, path: str, payload, raw: bytes
-    ) -> "tuple[int, dict | bytes, dict[str, str]]":
-        if self._shutdown_started:
+    async def _dispatch(self, request: Request) -> tuple:
+        if self.draining:
             raise HttpError(
                 503, error_body("draining", "cluster is draining"),
                 {"Retry-After": "1"},
             )
-        if (method, path) == ("GET", "/healthz"):
-            return 200, self._healthz_body(), {}
-        if (method, path) == ("GET", "/metrics"):
-            return 200, await self._metrics_body(), {}
-        local = {
-            ("GET", "/v1/events"): self._route_events,
-            ("POST", "/v1/ring/add"): self._route_ring_add,
-            ("POST", "/v1/ring/drain"): self._route_ring_drain,
-        }
-        handler = local.get((method, path))
-        if handler is not None:
-            query = dict(parse_qsl(urlsplit(target).query))
-            try:
-                return 200, await handler(payload, query), {}
-            except ProtocolError as exc:
-                raise HttpError(400, exc.body()) from None
-        known = {
-            ("POST", "/v1/cost"), ("POST", "/v1/sweep"),
-            ("POST", "/v1/tune"), ("GET", "/v1/advise"),
-            ("POST", "/v1/store/push"), ("GET", "/v1/store/pull"),
-        }
-        if (method, path) not in known:
-            if path in {p for _, p in known} | {"/healthz", "/metrics"} \
-                    | {p for _, p in local}:
-                raise HttpError(
-                    405, error_body("method_not_allowed",
-                                    f"{method} not supported on {path}")
-                )
-            raise HttpError(404, error_body("not_found", f"no route {path}"))
-        key = self._routing_key(method, target, path, payload)
-        return await self._forward(method, target, path, raw, key)
+        return await super()._dispatch(request)
 
-    def _routing_key(
-        self, method: str, target: str, path: str, payload
-    ) -> "str | None":
+    def _routing_key(self, request: Request) -> "str | None":
         """Canonical routing key, or ``None`` for unroutable requests
         (those go to any live shard, which renders the authoritative
         error)."""
+        path, payload, query = request.path, request.payload, request.query
         try:
             if path == "/v1/cost":
                 return "spec:" + spec_key(parse_cost_request(payload))
             if path == "/v1/advise":
-                query = dict(parse_qsl(urlsplit(target).query))
                 return "spec:" + spec_key(parse_advise_request(query))
             if path in ("/v1/sweep", "/v1/tune"):
                 material = json.dumps(payload, sort_keys=True)
@@ -409,7 +276,6 @@ class ClusterRouter:
             if path == "/v1/store/push" and isinstance(payload, dict):
                 return f"store:{payload.get('namespace')}:{payload.get('key')}"
             if path == "/v1/store/pull":
-                query = dict(parse_qsl(urlsplit(target).query))
                 return f"store:{query.get('namespace')}:{query.get('key')}"
         except ProtocolError:
             return None
@@ -461,10 +327,13 @@ class ClusterRouter:
         order += [u for u in alive if u not in order]
         return order, warm_peers
 
-    async def _forward(
-        self, method: str, target: str, path: str, raw: bytes,
-        key: "str | None",
+    async def _route_forward(
+        self, request: Request,
     ) -> "tuple[int, bytes, dict[str, str]]":
+        """Relay one request to its owner (or the next live candidate)
+        and return the shard's status, raw body and relayed headers."""
+        path = request.path
+        key = self._routing_key(request)
         if key is not None and path not in ("/v1/store/push",
                                             "/v1/store/pull"):
             self.hotkeys.observe(key)
@@ -477,9 +346,14 @@ class ClusterRouter:
             peers = [p for p in warm_peers if p != url]
             if peers:
                 extra_request_headers[WARM_PEERS_HEADER] = ",".join(peers)
+            split = urlsplit(url)
             try:
-                status, headers, body = await self._forward_once(
-                    url, method, target, raw, extra_request_headers
+                status, headers, body = await exchange(
+                    split.hostname, split.port or 80, request.method,
+                    request.target, request.raw,
+                    headers=extra_request_headers,
+                    timeout=self.request_timeout_s,
+                    connect_timeout=self.connect_timeout_s,
                 )
             except _SHARD_ERRORS:
                 self.metrics.inc("shard_failures")
@@ -502,92 +376,7 @@ class ClusterRouter:
             {"Retry-After": "1"},
         )
 
-    async def _forward_once(
-        self, url: str, method: str, target: str, raw: bytes,
-        extra_headers: dict[str, str],
-    ) -> tuple[int, dict[str, str], bytes]:
-        """One relay attempt; returns the shard's raw response body."""
-        split = urlsplit(url)
-        host, port = split.hostname, split.port or 80
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), self.connect_timeout_s
-        )
-        try:
-            head = [
-                f"{method} {target} HTTP/1.1",
-                f"Host: {host}:{port}",
-                f"Content-Length: {len(raw)}",
-                "Content-Type: application/json",
-                "Connection: close",
-            ]
-            head.extend(f"{k}: {v}" for k, v in extra_headers.items())
-            writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + raw)
-            await writer.drain()
-            status_line = await asyncio.wait_for(
-                reader.readline(), self.request_timeout_s
-            )
-            if not status_line:
-                raise ConnectionResetError("shard closed before responding")
-            status = int(status_line.split(maxsplit=2)[1])
-            headers: dict[str, str] = {}
-            while True:
-                line = await asyncio.wait_for(
-                    reader.readline(), self.request_timeout_s
-                )
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0"))
-            body = await asyncio.wait_for(
-                reader.readexactly(length), self.request_timeout_s
-            )
-            return status, headers, body
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     # -- telemetry ---------------------------------------------------------
-    async def _route_events(self, payload, query) -> dict:
-        """The ``?mode=poll`` arm of the multiplexed event feed."""
-        opts = parse_events_query(query)
-        events = await self.events.wait_since(
-            opts["from_seq"], opts["timeout_s"], opts["limit"]
-        )
-        return self.events.poll_body(opts["from_seq"], events)
-
-    async def _stream_events(
-        self, writer: asyncio.StreamWriter, query: dict[str, str], path: str
-    ) -> None:
-        """The SSE arm: stream until drain, client loss, or ``limit``."""
-        try:
-            opts = parse_events_query(query)
-        except ProtocolError as exc:
-            self._requests[(path, 400)] += 1
-            await write_response(writer, 400, exc.body(), {}, False)
-            return
-        self._requests[(path, 200)] += 1
-        heartbeat_s = min(opts["timeout_s"], 10.0) or 10.0
-        task = asyncio.current_task()
-        if task is not None:
-            self._stream_tasks.add(task)
-        try:
-            await stream_over_http(
-                writer, self.events,
-                from_seq=opts["from_seq"],
-                stop=self._stream_stop,
-                heartbeat_s=heartbeat_s,
-                max_events=opts["limit"],
-            )
-        except (ConnectionError, OSError):
-            pass  # consumer went away; a normal way to end a stream
-        finally:
-            if task is not None:
-                self._stream_tasks.discard(task)
-
     def _start_multiplex(self, url: str) -> None:
         if url in self._mux_tasks:
             return
@@ -627,9 +416,9 @@ class ClusterRouter:
             cursor = body.get("next_from", cursor)
 
     # -- live membership ---------------------------------------------------
-    async def _route_ring_add(self, payload, query) -> dict:
+    async def _route_ring_add(self, request: Request) -> dict:
         """``POST /v1/ring/add`` — join a running shard to the ring."""
-        url = parse_ring_change(payload)
+        url = parse_ring_change(request.payload)
         if url in self.ring.shards:
             return {"added": False, "reason": "already_member",
                     "shards": list(self.ring.shards)}
@@ -668,7 +457,7 @@ class ClusterRouter:
                           for u, frac in self.ring.ownership().items()},
         }
 
-    async def _route_ring_drain(self, payload, query) -> dict:
+    async def _route_ring_drain(self, request: Request) -> dict:
         """``POST /v1/ring/drain`` — planned decommission of one shard.
 
         The shard leaves the ring *first* (no new traffic routes to it),
@@ -678,7 +467,7 @@ class ClusterRouter:
         down afterwards; in-flight requests it is still serving finish
         normally.
         """
-        url = parse_ring_change(payload)
+        url = parse_ring_change(request.payload)
         if url not in self.ring.shards:
             raise HttpError(404, error_body(
                 "unknown_shard", f"{url} is not a ring member"))
@@ -772,10 +561,10 @@ class ClusterRouter:
         return counters
 
     # -- local endpoints ---------------------------------------------------
-    def _healthz_body(self) -> dict:
+    async def _route_healthz(self, request: Request) -> dict:
         alive = self._alive
         return {
-            "status": "draining" if self._shutdown_started else (
+            "status": "draining" if self.draining else (
                 "ok" if any(alive.values()) else "degraded"
             ),
             "shards": {url: ("up" if alive[url] else "down")
@@ -783,7 +572,7 @@ class ClusterRouter:
             "replicas": self.replicas,
         }
 
-    async def _metrics_body(self) -> dict:
+    async def _route_metrics(self, request: Request) -> dict:
         from repro.service.client import AsyncServiceClient
 
         async def shard_metrics(url: str):

@@ -18,17 +18,16 @@ Two deployment shapes share one API surface:
 
 from __future__ import annotations
 
-import asyncio
 import os
 import signal
 import socket
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
 from repro.cluster.router import ClusterRouter
+from repro.service.server import BackgroundLoop, BackgroundServer
 
 __all__ = ["ClusterSupervisor", "BackgroundCluster", "BackgroundRouter"]
 
@@ -187,62 +186,20 @@ class ClusterSupervisor:
         self.stop()
 
 
-class BackgroundRouter:
-    """A :class:`~repro.cluster.router.ClusterRouter` on its own thread.
-
-    Mirrors :class:`~repro.service.server.BackgroundServer`: enter the
-    context manager, talk to :attr:`url`, exit to drain.
+class BackgroundRouter(BackgroundLoop):
+    """A :class:`~repro.cluster.router.ClusterRouter` on a
+    :class:`~repro.service.server.BackgroundLoop`, like
+    :class:`~repro.service.server.BackgroundServer`: enter the context
+    manager, talk to :attr:`url`, exit to drain.
     """
 
     def __init__(self, shard_urls: list[str], **router_kwargs) -> None:
-        self._shard_urls = list(shard_urls)
-        self._router_kwargs = router_kwargs
-        self._thread: "threading.Thread | None" = None
-        self._ready = threading.Event()
-        self._loop: "asyncio.AbstractEventLoop | None" = None
-        self._stop: "asyncio.Event | None" = None
-        self._startup_error: "BaseException | None" = None
-        self.router: "ClusterRouter | None" = None
-        self.url = ""
+        shard_urls = list(shard_urls)
+        super().__init__(lambda: ClusterRouter(shard_urls, **router_kwargs))
 
-    def __enter__(self) -> "BackgroundRouter":
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-cluster-router")
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                self.router = ClusterRouter(self._shard_urls,
-                                            **self._router_kwargs)
-                await self.router.start()
-                self.url = self.router.url
-            except BaseException as exc:
-                self._startup_error = exc
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._stop.wait()
-            await self.router.shutdown()
-
-        asyncio.run(main())
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=60)
-        self._thread = None
+    @property
+    def router(self) -> "ClusterRouter | None":
+        return self.door
 
 
 class BackgroundCluster:
@@ -286,21 +243,9 @@ class BackgroundCluster:
         return self._router.router if self._router else None
 
     def __enter__(self) -> "BackgroundCluster":
-        from repro.service.server import BackgroundServer
-
         try:
-            for index in range(self.num_shards):
-                kwargs = dict(self._server_kwargs)
-                if self.cache_root is None:
-                    kwargs.setdefault("cache", False)
-                else:
-                    kwargs.setdefault("cache", True)
-                    kwargs.setdefault(
-                        "cache_dir", self.cache_root / f"shard-{index}"
-                    )
-                server = BackgroundServer(**kwargs)
-                server.__enter__()
-                self.servers.append(server)
+            for _ in range(self.num_shards):
+                self._boot_shard()
             self._router = BackgroundRouter(self.shard_urls,
                                             **self._router_kwargs)
             self._router.__enter__()
@@ -336,8 +281,9 @@ class BackgroundCluster:
         Like :meth:`ClusterSupervisor.spawn_shard`, the new shard serves
         but receives no ring traffic until ``/v1/ring/add`` names it.
         """
-        from repro.service.server import BackgroundServer
+        return self._boot_shard().url
 
+    def _boot_shard(self) -> BackgroundServer:
         index = len(self.servers)
         kwargs = dict(self._server_kwargs)
         if self.cache_root is None:
@@ -348,4 +294,4 @@ class BackgroundCluster:
         server = BackgroundServer(**kwargs)
         server.__enter__()
         self.servers.append(server)
-        return server.url
+        return server

@@ -24,6 +24,8 @@ import time
 from typing import Any, Callable, Mapping
 from urllib.parse import urlencode, urlsplit
 
+from repro.service.http import exchange
+
 __all__ = ["ServiceClient", "AsyncServiceClient", "ServiceError", "Unavailable"]
 
 
@@ -57,29 +59,83 @@ def _retry_delay(response_headers: Mapping[str, str] | None,
     return min(backoff_s * (2 ** attempt), 10.0)
 
 
-def _query_spec(kernel: str, model: str, params: Mapping[str, int],
-                **options: Any) -> dict:
-    payload = {"kernel": kernel, "model": model, **dict(params)}
-    payload.update(options)
-    return payload
+class _Endpoints:
+    """The protocol's endpoint methods, shared by both clients.
+
+    Each builds its request and returns ``self._request(...)``: the
+    decoded body from :class:`ServiceClient`, a coroutine to await from
+    :class:`AsyncServiceClient`.
+    """
+
+    def cost(self, kernel: str, model: str, params: Mapping[str, int],
+             **options: Any):
+        """``POST /v1/cost`` — one spec, micro-batched server side."""
+        return self._request("POST", "/v1/cost",
+                             {"kernel": kernel, "model": model,
+                              **dict(params), **options})
+
+    def sweep(self, kernel: str, model: str, grid: Mapping[str, Any],
+              **options: Any):
+        """``POST /v1/sweep`` — scalars plus list-valued axes in ``grid``."""
+        payload: dict[str, Any] = {"kernel": kernel, "model": model}
+        axes: dict[str, list] = {}
+        for name, value in dict(grid).items():
+            if isinstance(value, (list, tuple)):
+                axes[name] = list(value)
+            else:
+                payload[name] = value
+        payload.update(options)
+        payload["axes"] = axes
+        return self._request("POST", "/v1/sweep", payload)
+
+    def advise(self, kernel: str, model: str, params: Mapping[str, int],
+               **options: Any):
+        """``GET /v1/advise`` — launch diagnosis for one spec."""
+        spec = {"kernel": kernel, "model": model, **dict(params), **options}
+        return self._request("GET", "/v1/advise?" + urlencode(spec))
+
+    def tune(self, task: str, **options: Any):
+        """``POST /v1/tune`` — autotune a demo task server-side.
+
+        ``options`` are the body fields of the tune protocol: strategy,
+        budget, mode, seed, latencies, shape.
+        """
+        return self._request("POST", "/v1/tune", {"task": task, **options})
+
+    def healthz(self):
+        return self._request("GET", "/healthz")
+
+    def metrics(self):
+        return self._request("GET", "/metrics")
+
+    def events(self, *, from_seq: int = 0, timeout_s: float = 0.0,
+               limit: "int | None" = None):
+        """``GET /v1/events?mode=poll`` — one long-poll round.
+
+        Returns ``{"events", "next_from", "last_seq", "dropped"}``;
+        pass ``next_from`` back as ``from_seq`` to resume.  For the
+        live SSE stream use :func:`repro.telemetry.sse_events`.
+        """
+        query = {"mode": "poll", "from": int(from_seq),
+                 "timeout": f"{timeout_s:g}"}
+        if limit is not None:
+            query["limit"] = int(limit)
+        return self._request("GET", "/v1/events?" + urlencode(query))
+
+    def store_keys(self):
+        """``GET /v1/store/keys`` — per-namespace key inventory."""
+        return self._request("GET", "/v1/store/keys")
+
+    def ring_add(self, url: str):
+        """``POST /v1/ring/add`` (router only) — join a shard."""
+        return self._request("POST", "/v1/ring/add", {"url": url})
+
+    def ring_drain(self, url: str):
+        """``POST /v1/ring/drain`` (router only) — decommission a shard."""
+        return self._request("POST", "/v1/ring/drain", {"url": url})
 
 
-def _sweep_payload(kernel: str, model: str, grid: Mapping[str, Any],
-                   **options: Any) -> dict:
-    """Split ``grid`` into top-level scalars and list-valued ``axes``."""
-    payload: dict[str, Any] = {"kernel": kernel, "model": model}
-    axes: dict[str, list] = {}
-    for name, value in dict(grid).items():
-        if isinstance(value, (list, tuple)):
-            axes[name] = list(value)
-        else:
-            payload[name] = value
-    payload.update(options)
-    payload["axes"] = axes
-    return payload
-
-
-class ServiceClient:
+class ServiceClient(_Endpoints):
     """Blocking client with reconnect + Retry-After-aware retries.
 
     >>> client = ServiceClient("http://127.0.0.1:8787")    # doctest: +SKIP
@@ -175,74 +231,8 @@ class ServiceClient:
             "message": f"gave up after {self.retries + 1} attempts: {last_error}",
         }})
 
-    # -- API ---------------------------------------------------------------
-    def cost(self, kernel: str, model: str, params: Mapping[str, int],
-             **options: Any) -> dict:
-        """``POST /v1/cost`` — one spec, micro-batched server side."""
-        return self._request(
-            "POST", "/v1/cost", _query_spec(kernel, model, params, **options)
-        )
 
-    def sweep(self, kernel: str, model: str, grid: Mapping[str, Any],
-              **options: Any) -> dict:
-        """``POST /v1/sweep`` — scalars plus list-valued axes in ``grid``."""
-        return self._request(
-            "POST", "/v1/sweep", _sweep_payload(kernel, model, grid, **options)
-        )
-
-    def advise(self, kernel: str, model: str, params: Mapping[str, int],
-               **options: Any) -> dict:
-        """``GET /v1/advise`` — launch diagnosis for one spec."""
-        spec = _query_spec(kernel, model, params, **options)
-        return self._request("GET", "/v1/advise?" + urlencode(spec))
-
-    def tune(self, task: str, **options: Any) -> dict:
-        """``POST /v1/tune`` — autotune a demo task server-side.
-
-        ``options`` are the body fields of the tune protocol: strategy,
-        budget, mode, seed, latencies, shape.
-        """
-        return self._request("POST", "/v1/tune", {"task": task, **options})
-
-    def healthz(self) -> dict:
-        return self._request("GET", "/healthz")
-
-    def metrics(self) -> dict:
-        return self._request("GET", "/metrics")
-
-    def events(self, *, from_seq: int = 0, timeout_s: float = 0.0,
-               limit: "int | None" = None) -> dict:
-        """``GET /v1/events?mode=poll`` — one long-poll round.
-
-        Returns ``{"events", "next_from", "last_seq", "dropped"}``;
-        pass ``next_from`` back as ``from_seq`` to resume.  For the
-        live SSE stream use :func:`repro.telemetry.sse_events`.
-        """
-        return self._request("GET", "/v1/events?" + urlencode(
-            _events_query(from_seq, timeout_s, limit)))
-
-    def store_keys(self) -> dict:
-        """``GET /v1/store/keys`` — per-namespace key inventory."""
-        return self._request("GET", "/v1/store/keys")
-
-    def ring_add(self, url: str) -> dict:
-        """``POST /v1/ring/add`` (router only) — join a shard."""
-        return self._request("POST", "/v1/ring/add", {"url": url})
-
-    def ring_drain(self, url: str) -> dict:
-        """``POST /v1/ring/drain`` (router only) — decommission a shard."""
-        return self._request("POST", "/v1/ring/drain", {"url": url})
-
-
-def _events_query(from_seq: int, timeout_s: float,
-                  limit: "int | None") -> dict:
-    query = {"mode": "poll", "from": int(from_seq), "timeout": f"{timeout_s:g}"}
-    if limit is not None:
-        query["limit"] = int(limit)
-    return query
-
-
-class AsyncServiceClient:
+class AsyncServiceClient(_Endpoints):
     """Asyncio client: one connection per request, same retry discipline.
 
     Used by the closed-loop load generator, where hundreds of logical
@@ -270,42 +260,10 @@ class AsyncServiceClient:
 
     async def _once(self, method: str, path: str,
                     payload: Any) -> tuple[int, dict[str, str], Any]:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            body = b""
-            if payload is not None:
-                body = json.dumps(payload).encode()
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Content-Type: application/json\r\n"
-                "Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode() + body)
-            await writer.drain()
-            status_line = await asyncio.wait_for(
-                reader.readline(), self.timeout
-            )
-            parts = status_line.decode("latin-1").split(maxsplit=2)
-            status = int(parts[1])
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0"))
-            raw = await asyncio.wait_for(reader.readexactly(length),
-                                         self.timeout)
-            return status, headers, json.loads(raw) if raw else None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        body = b"" if payload is None else json.dumps(payload).encode()
+        status, headers, raw = await exchange(
+            self.host, self.port, method, path, body, timeout=self.timeout)
+        return status, headers, json.loads(raw) if raw else None
 
     async def _request(self, method: str, path: str,
                        payload: Any = None) -> Any:
@@ -333,45 +291,3 @@ class AsyncServiceClient:
             "code": "unavailable",
             "message": f"gave up after {self.retries + 1} attempts: {last_error}",
         }})
-
-    async def cost(self, kernel: str, model: str, params: Mapping[str, int],
-                   **options: Any) -> dict:
-        return await self._request(
-            "POST", "/v1/cost", _query_spec(kernel, model, params, **options)
-        )
-
-    async def sweep(self, kernel: str, model: str, grid: Mapping[str, Any],
-                    **options: Any) -> dict:
-        return await self._request(
-            "POST", "/v1/sweep", _sweep_payload(kernel, model, grid, **options)
-        )
-
-    async def advise(self, kernel: str, model: str,
-                     params: Mapping[str, int], **options: Any) -> dict:
-        spec = _query_spec(kernel, model, params, **options)
-        return await self._request("GET", "/v1/advise?" + urlencode(spec))
-
-    async def tune(self, task: str, **options: Any) -> dict:
-        return await self._request("POST", "/v1/tune",
-                                   {"task": task, **options})
-
-    async def healthz(self) -> dict:
-        return await self._request("GET", "/healthz")
-
-    async def metrics(self) -> dict:
-        return await self._request("GET", "/metrics")
-
-    async def events(self, *, from_seq: int = 0, timeout_s: float = 0.0,
-                     limit: "int | None" = None) -> dict:
-        """``GET /v1/events?mode=poll`` — one long-poll round."""
-        return await self._request("GET", "/v1/events?" + urlencode(
-            _events_query(from_seq, timeout_s, limit)))
-
-    async def store_keys(self) -> dict:
-        return await self._request("GET", "/v1/store/keys")
-
-    async def ring_add(self, url: str) -> dict:
-        return await self._request("POST", "/v1/ring/add", {"url": url})
-
-    async def ring_drain(self, url: str) -> dict:
-        return await self._request("POST", "/v1/ring/drain", {"url": url})

@@ -1,11 +1,13 @@
-"""Minimal HTTP/1.1 framing shared by the service server and the
-cluster router.
+"""Minimal HTTP/1.1 framing shared by the service server, the cluster
+router and the asyncio client.
 
-One strict, bounded reader (:func:`read_request`) and one writer
-(:func:`write_response`), factored out of
-:class:`~repro.service.server.ServiceServer` so the cluster's front
-router (:mod:`repro.cluster.router`) speaks byte-identical HTTP without
-duplicating the parser.  Stdlib only, JSON bodies only.
+One strict, bounded request reader (:func:`read_request`) and one
+writer (:func:`write_response`) for the server side, which the shard
+server and the cluster router share through
+:class:`~repro.service.server.FrontDoor`; one client-side exchange
+(:func:`exchange`) behind both the router's relay and
+:class:`~repro.service.client.AsyncServiceClient`.  Stdlib only, JSON
+bodies only.
 
 :class:`HttpError` is the internal "abort this request with status X"
 exception both servers raise; :func:`error_body` builds the structured
@@ -23,6 +25,7 @@ __all__ = [
     "REASONS",
     "HttpError",
     "error_body",
+    "exchange",
     "read_request",
     "write_response",
 ]
@@ -131,3 +134,61 @@ async def write_response(
     lines.extend(f"{k}: {v}" for k, v in extra_headers.items())
     writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + bytes(blob))
     await writer.drain()
+
+
+async def exchange(
+    host: str, port: int, method: str, target: str, body: bytes = b"", *,
+    headers: "dict[str, str] | None" = None, timeout: float,
+    connect_timeout: "float | None" = None,
+) -> "tuple[int, dict[str, str], bytes]":
+    """One request on a fresh connection: ``(status, headers, raw)``.
+
+    ``headers`` are extra request headers.  The response headers come
+    back lower-cased and ``raw`` is the undecoded body (what the router
+    relays verbatim).  The whole response read (status line,
+    headers, body) shares one deadline of ``timeout`` seconds.  The
+    connect is bounded only when ``connect_timeout`` is given: a
+    ``wait_for`` that finishes as its task is cancelled returns instead
+    of re-raising (Python 3.11), so long-lived callers that are stopped
+    by cancellation connect without one.
+    """
+    connect = asyncio.open_connection(host, port)
+    if connect_timeout is not None:
+        connect = asyncio.wait_for(connect, connect_timeout)
+    reader, writer = await connect
+    try:
+        head = [
+            f"{method} {target} HTTP/1.1",
+            f"Host: {host}:{port}",
+            f"Content-Length: {len(body)}",
+            "Content-Type: application/json",
+            "Connection: close",
+        ]
+        head.extend(f"{k}: {v}" for k, v in (headers or {}).items())
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
+        await writer.drain()
+        return await asyncio.wait_for(_read_response(reader), timeout)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+async def _read_response(
+    reader: asyncio.StreamReader,
+) -> "tuple[int, dict[str, str], bytes]":
+    status_line = await reader.readline()
+    if not status_line:
+        raise ConnectionResetError("peer closed before responding")
+    status = int(status_line.split(maxsplit=2)[1])
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw = await reader.readexactly(int(headers.get("content-length", "0")))
+    return status, headers, raw

@@ -52,6 +52,14 @@ class TestRouting:
         assert status == 404
         assert b"not_found" in body
 
+    def test_unknown_paths_count_as_one_route(self, cluster):
+        for i in range(3):
+            assert raw_request(cluster.url, "GET", f"/junk-{i}")[0] == 404
+        router = ServiceClient(cluster.url).metrics()["cluster"]["router"]
+        requests = router["requests"]
+        assert not [route for route in requests if route.startswith("/junk")]
+        assert requests["other"]["404"] >= 3
+
     def test_wrong_method_is_405(self, cluster):
         status, body = raw_request(cluster.url, "GET", "/v1/cost")
         assert status == 405

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.machine.replay import reset_default_store
 from repro.service.client import AsyncServiceClient, ServiceClient
 from repro.service.clock import ManualClock
 from repro.service.oracle import CostOracle
@@ -213,3 +214,24 @@ class TestWarmPushKeys:
                 assert raw_request(srv.url, "POST", "/v1/cost", SPEC,
                                    headers=peer)[0] == 200
         assert derived == [1, 1]
+
+    def test_hot_miss_pushes_each_entry_once(self, tmp_path, monkeypatch):
+        # The computed spec's store key is also in the recent-put log.
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_BACKEND", "python")
+        reset_default_store()
+        try:
+            with BackgroundServer(cache_dir=tmp_path / "a") as a, \
+                    BackgroundServer(cache_dir=tmp_path / "b") as b:
+                peer = {WARM_PEERS_HEADER: b.url}
+                assert raw_request(a.url, "POST", "/v1/cost", SPEC,
+                                   headers=peer)[0] == 200
+                a.stop()  # the drain waits for the push
+                sent = a.server.metrics.snapshot()["warming"]
+                with ServiceClient(b.url) as client:
+                    received = client.metrics()["warming"]
+        finally:
+            reset_default_store()
+        assert sent["pushes_sent"] == 1 and sent["push_failures"] == 0
+        assert received["received_stored"] == 1
+        assert received["received_duplicates"] == 0

@@ -119,6 +119,17 @@ class TestErrorSurface:
         assert status == 404
         assert body["error"]["code"] == "not_found"
 
+    def test_unknown_paths_count_as_one_route(self, server, client):
+        # Clients choose paths; counting each as its own label would let
+        # them grow /metrics (and the recorder's series) without bound.
+        for i in range(3):
+            status, _, _ = asyncio.run(_raw_request(
+                server.server.host, server.server.port, "GET", f"/junk-{i}"))
+            assert status == 404
+        requests = client.metrics()["requests"]
+        assert not [route for route in requests if route.startswith("/junk")]
+        assert requests["other"]["404"] >= 3
+
     def test_wrong_method_405(self, server):
         status, _, body = asyncio.run(_raw_request(
             server.server.host, server.server.port, "GET", "/v1/cost"))
@@ -169,6 +180,15 @@ class _GatedOracle:
 
     def close(self):
         pass
+
+
+class _GatedSweepOracle(_GatedOracle):
+    """Stub oracle whose sweeps block until the test releases the gate."""
+
+    def run_sweep(self, meta, specs):
+        self.calls += 1
+        assert self.gate.wait(timeout=30), "test never released the gate"
+        return {"points": len(specs)}
 
 
 class TestOverloadAndDrain:
@@ -231,6 +251,63 @@ class TestOverloadAndDrain:
         asyncio.run(main())
 
 
+    def test_drain_completes_in_flight_sweep(self):
+        # The drain waits for every route's in-flight requests, not only
+        # for the batcher's: a sweep runs outside it.
+        async def main():
+            oracle = _GatedSweepOracle()
+            server = ServiceServer(oracle, telemetry=False)
+            await server.start()
+            try:
+                c = AsyncServiceClient(server.url, retries=0)
+                in_flight = asyncio.ensure_future(
+                    c.sweep("sum", "hmm", {"n": 1024, "p": 64, "l": [4, 8]}))
+                while oracle.calls == 0:
+                    await asyncio.sleep(0.01)
+                shutdown = asyncio.ensure_future(server.shutdown())
+                await asyncio.sleep(0.05)
+                assert not shutdown.done()  # still waiting on the sweep
+                oracle.gate.set()
+                await shutdown
+                assert await in_flight == {"points": 2}
+            finally:
+                oracle.gate.set()
+
+        asyncio.run(main())
+
+
+    def test_poll_during_drain_answers_at_once(self):
+        # A keep-alive client's long-poll that arrives while the drain
+        # waits on another request must not hold it open for its timeout.
+        async def main():
+            oracle = _GatedSweepOracle()
+            server = ServiceServer(oracle, telemetry=False)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                c = AsyncServiceClient(server.url, retries=0)
+                sweep = asyncio.ensure_future(
+                    c.sweep("sum", "hmm", {"n": 1024, "p": 64, "l": [4]}))
+                while oracle.calls == 0:
+                    await asyncio.sleep(0.01)
+                shutdown = asyncio.ensure_future(server.shutdown())
+                await asyncio.sleep(0.05)
+                writer.write(b"GET /v1/events?mode=poll&from=1000&timeout=30"
+                             b" HTTP/1.1\r\nHost: x\r\n\r\n")
+                await writer.drain()
+                status_line = await asyncio.wait_for(reader.readline(), 5)
+                writer.close()
+                oracle.gate.set()
+                await asyncio.wait_for(shutdown, 5)
+                assert await sweep == {"points": 1}
+                return int(status_line.split()[1])
+            finally:
+                oracle.gate.set()
+
+        assert asyncio.run(main()) == 200
+
+
 class TestMetrics:
     def test_metrics_shape_and_counts(self, client):
         client.cost("sum", "dmm", {"n": 512, "p": 64})
@@ -268,3 +345,23 @@ class TestSigterm:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+class TestQueryCli:
+    def test_query_cost_accepts_every_protocol_mode(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.machine.replay import reset_default_store
+        from repro.service.__main__ import main
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        reset_default_store()
+        try:
+            with BackgroundServer(cache=False, telemetry=False) as srv:
+                for mode in ("batch", "event", "replay"):
+                    assert main(["query", "cost", "--url", srv.url,
+                                 "--mode", mode, "--n", "256",
+                                 "--p", "32"]) == 0
+                    body = json.loads(capsys.readouterr().out)
+                    assert body["mode"] == mode
+        finally:
+            reset_default_store()

@@ -25,6 +25,11 @@ Results come back as :class:`SweepPoint` rows in grid order regardless
 of ``jobs``; a sweep is *resumable* because any prefix of points already
 in the cache is skipped on the next run.
 
+* **Grouping** — ``run(..., axis="l")`` measures the missing points
+  that agree on every field but ``l`` in one ``measure`` call (the
+  tuner costs one candidate's latency grid from one launch); keys,
+  lookups and stores stay per point.
+
 Measure callables used with ``jobs > 1`` must be picklable: a
 module-level function, or ``functools.partial`` of one binding scalar
 keyword arguments.  Anything non-scalar bound into the callable is
@@ -311,18 +316,52 @@ def _normalize(out: Any) -> tuple[int, dict]:
     return int(out), {}
 
 
-def _measure_chunk(measure: Callable, chunk: list) -> tuple[float, list]:
-    """Worker body: measure one shard of points, timing the whole shard."""
+def _measure_unit(measure: Callable, unit: list, grouped: bool) -> list:
+    """Results of one unit of work: a lone point, or (``grouped``) the
+    points ``measure`` takes together as a list."""
+    if not grouped:
+        return [_normalize(measure(unit[0]))]
+    results = list(measure(unit))
+    if len(results) != len(unit):
+        raise ValueError(
+            f"a grouped measure returned {len(results)} results for "
+            f"{len(unit)} points"
+        )
+    return [_normalize(r) for r in results]
+
+
+def _measure_chunk(measure: Callable, chunk: list, grouped: bool
+                   ) -> tuple[float, list]:
+    """Worker body: measure one shard of work units, timing the whole
+    shard; returns one result list per unit."""
     start = time.perf_counter()
-    results = [_normalize(measure(q)) for q in chunk]
+    results = [_measure_unit(measure, unit, grouped) for unit in chunk]
     return time.perf_counter() - start, results
 
 
-def _chunked(indices: list[int], jobs: int) -> list[list[int]]:
+def _chunked(units: list, jobs: int) -> list[list]:
     """Split live work into ~4 shards per worker (amortizes pickling
-    while keeping the pool balanced); at least one point per shard."""
-    target = max(1, -(-len(indices) // (jobs * 4)))
-    return [indices[i:i + target] for i in range(0, len(indices), target)]
+    while keeping the pool balanced); at least one unit per shard."""
+    target = max(1, -(-len(units) // (jobs * 4)))
+    return [units[i:i + target] for i in range(0, len(units), target)]
+
+
+def _work_units(pts: list, missing: list[int], axis: str | None
+                ) -> list[list[int]]:
+    """The missing points' indices as units of work, in grid order:
+    one per point, or one per group of points that agree on every
+    field but ``axis``."""
+    if axis is None:
+        return [[i] for i in missing]
+    groups: dict[str, list[int]] = {}
+    for i in missing:
+        material = _point_material(pts[i])
+        if not isinstance(material, dict) or axis not in material:
+            raise ValueError(f"point {pts[i]!r} has no field {axis!r}")
+        rest = {k: v for k, v in material.items() if k != axis}
+        blob = json.dumps(rest, sort_keys=True, default=str)
+        groups.setdefault(blob, []).append(i)
+    return list(groups.values())
 
 
 class SweepExecutor:
@@ -429,6 +468,7 @@ class SweepExecutor:
         *,
         mode: str | None = None,
         label: str | None = None,
+        axis: str | None = None,
     ) -> list[SweepPoint]:
         """Measure every point, returning rows in grid order.
 
@@ -437,6 +477,13 @@ class SweepExecutor:
         bug, not data.  ``mode`` names the engine mode baked into
         ``measure`` and participates in the cache key; ``label`` is
         display-only (progress reporting).
+
+        With ``axis`` (a field of every point), the missing points that
+        agree on every other field form one group: ``measure`` is called
+        once per group with the group's points as a list, in grid order,
+        and returns one result per point.  A group is one unit of work
+        for the worker pool.  Cache keys, lookups and stores stay per
+        point, exactly as without ``axis``.
         """
         pts = list(points)
         total = len(pts)
@@ -468,24 +515,34 @@ class SweepExecutor:
         done = cache_hits
         self._emit(label, total, done, cache_hits, start, timings)
 
-        jobs = resolve_jobs(self.jobs, len(missing))
-        if missing and jobs <= 1:
-            for i in missing:
-                t0 = time.perf_counter()
-                cycles, extra = _normalize(measure(pts[i]))
-                timings.append((1, time.perf_counter() - t0))
+        grouped = axis is not None
+        units = _work_units(pts, missing, axis)
+
+        def record(unit: list[int], measured: list, seconds: float) -> None:
+            nonlocal done
+            timings.append((len(unit), seconds))
+            for i, (cycles, extra) in zip(unit, measured):
                 results[i] = SweepPoint(params=pts[i], cycles=cycles,
                                         extra=extra)
                 self._store(keys[i], cycles, extra)
-                done += 1
-                self._emit(label, total, done, cache_hits, start, timings)
-        elif missing:
+            done += len(unit)
+            self._emit(label, total, done, cache_hits, start, timings)
+
+        jobs = resolve_jobs(self.jobs, len(units))
+        if units and jobs <= 1:
+            for unit in units:
+                t0 = time.perf_counter()
+                measured = _measure_unit(
+                    measure, [pts[i] for i in unit], grouped)
+                record(unit, measured, time.perf_counter() - t0)
+        elif units:
             pool, workers, transient = self._acquire_pool(jobs)
-            shards = _chunked(missing, workers)
+            shards = _chunked(units, workers)
             try:
                 futures = {
                     pool.submit(_measure_chunk, measure,
-                                [pts[i] for i in shard]): shard
+                                [[pts[i] for i in unit] for unit in shard],
+                                grouped): shard
                     for shard in shards
                 }
                 pending = set(futures)
@@ -496,15 +553,9 @@ class SweepExecutor:
                     for fut in finished:
                         shard = futures[fut]
                         seconds, measured = fut.result()  # reraises
-                        timings.append((len(shard), seconds))
-                        for i, (cycles, extra) in zip(shard, measured):
-                            results[i] = SweepPoint(params=pts[i],
-                                                    cycles=cycles,
-                                                    extra=extra)
-                            self._store(keys[i], cycles, extra)
-                        done += len(shard)
-                        self._emit(label, total, done, cache_hits, start,
-                                   timings)
+                        record([i for unit in shard for i in unit],
+                               [r for rows in measured for r in rows],
+                               seconds)
             finally:
                 if transient:
                     pool.shutdown()

@@ -17,7 +17,7 @@ from repro.machine.memory import ArrayHandle, MemorySpace, attempt_with_rollback
 from repro.machine.ops import MemoryOp
 from repro.machine.pipeline import PipelinedMemoryUnit
 from repro.machine.policy import SlotPolicy
-from repro.machine.replay import replay_launch
+from repro.machine.replay import price_trace, replay_launch
 from repro.machine.report import RunReport
 from repro.machine.scheduler import Scheduler, WarpState
 from repro.machine.trace import TraceRecorder
@@ -25,7 +25,13 @@ from repro.machine.warp import WarpContext, WarpProgram
 from repro.native import resolve_backend
 from repro.params import MachineParams
 
-__all__ = ["MachineEngine", "make_warp_contexts", "resolve_mode", "run_launch"]
+__all__ = [
+    "MachineEngine",
+    "make_warp_contexts",
+    "reprice",
+    "resolve_mode",
+    "run_launch",
+]
 
 _MODES = ("event", "batch", "replay")
 
@@ -77,6 +83,8 @@ def run_launch(
     Each attempt instantiates fresh generators from ``program``, so a
     launch finished by the event scheduler is exact.  The report lists
     the first unit always and the others only when they saw traffic.
+    A replay hit or accepted capture leaves its trace on the engine for
+    :func:`reprice`.
     """
     mode = engine.mode if mode is None else resolve_mode(mode)
 
@@ -86,10 +94,11 @@ def run_launch(
     units = engine.units
     for unit in units:
         unit.reset()
-    result = stats = None
+    engine._replayed = None
+    result = stats = replayed = None
     tag = "event"
     if trace is None and mode == "replay":
-        result, stats, tag = replay_launch(program, contexts, engine)
+        result, stats, tag, replayed = replay_launch(program, contexts, engine)
     elif trace is None and mode == "batch" and engine.dispatch == "fifo":
         batch = BatchCostEngine(engine._unit_for, backend=engine.backend)
         result = attempt_with_rollback(
@@ -102,11 +111,45 @@ def run_launch(
         ).run(warps())
     if stats is None:
         stats = {unit.name: unit.stats for unit in units}
+    report = _report(units, result, stats, num_threads=num_threads,
+                     num_warps=len(contexts), label=label, engine=tag)
+    if replayed is not None:
+        engine._replayed = (replayed, report)
+    return report
+
+
+def reprice(engine, latency: int) -> RunReport | None:
+    """The engine's last launch priced with ``units[0]`` at ``latency``.
+
+    ``units[0]`` is the flat machine's unit or the HMM's global unit;
+    the other units keep their latency, and every unit its policy and
+    pipelining.  The launch must have been a replay hit or a capture
+    the trace store accepted: its trace is priced again, which is what
+    a replay launch at ``latency`` would do after keying the launch
+    and finding that trace, so the report (tag ``"replay"``) is
+    bit-identical to an event run at ``latency``.  Reads no memory and
+    changes no unit.  ``None`` after an event, batch, refused or
+    rejected launch.
+    """
+    if latency < 1:
+        raise ConfigurationError(f"latency must be >= 1, got {latency}")
+    if engine._replayed is None:
+        return None
+    trace, report = engine._replayed
+    units = engine.units
+    result, stats = price_trace(
+        trace, engine, [latency, *(unit.latency for unit in units[1:])])
+    return _report(units, result, stats, num_threads=report.num_threads,
+                   num_warps=report.num_warps, label=report.label,
+                   engine="replay")
+
+
+def _report(units, result, stats, **meta) -> RunReport:
+    """A launch's report: the first unit always, the others when they
+    saw traffic; ``meta`` holds the launch fields and the engine tag."""
     first = units[0].name
     return RunReport(
         cycles=result.cycles,
-        num_threads=num_threads,
-        num_warps=len(contexts),
         unit_stats={
             name: st for name, st in stats.items()
             if name == first or st.transactions
@@ -114,8 +157,7 @@ def run_launch(
         compute_ops=result.compute_ops,
         compute_cycles=result.compute_cycles,
         barrier_releases=result.barrier_releases,
-        label=label,
-        engine=tag,
+        **meta,
     )
 
 
@@ -213,6 +255,9 @@ class MachineEngine:
         #: The spaces and units a launch touches (see :func:`run_launch`).
         self.spaces = [self.space]
         self.units = [self.unit]
+        #: ``(trace, report)`` of the last launch :func:`reprice` can
+        #: price again, else ``None``.
+        self._replayed = None
 
     # -- memory management -----------------------------------------------
     def alloc(self, size: int, name: str = "") -> ArrayHandle:

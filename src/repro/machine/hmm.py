@@ -120,6 +120,9 @@ class HMMEngine:
         #: the global unit comes first and is always reported.
         self.spaces = [self.global_space, *self.shared_spaces]
         self.units = [self.global_unit, *self.shared_units]
+        #: ``(trace, report)`` of the last launch
+        #: :func:`~repro.machine.engine.reprice` can price again.
+        self._replayed = None
         self._space_to_unit: dict[int, PipelinedMemoryUnit] = {
             id(self.global_space): self.global_unit,
             **{id(s): u for s, u in zip(self.shared_spaces, self.shared_units)},

@@ -111,6 +111,7 @@ __all__ = [
     "derive_launch_key",
     "is_replay_oblivious",
     "non_oblivious",
+    "price_trace",
     "replay_launch",
     "reset_default_store",
 ]
@@ -1290,12 +1291,34 @@ def reset_default_store() -> None:
 # ---------------------------------------------------------------------------
 
 
+def price_trace(
+    trace: CompiledTrace, engine, latencies: Sequence[int],
+) -> tuple[SchedulerResult, dict[str, UnitStats]]:
+    """Price ``trace`` on ``engine``'s units with the given ``latencies``.
+
+    ``latencies`` aligns with ``engine.units``; each unit's policy and
+    pipelining, and the engine's dispatch and backend, are the engine's
+    own.  Touches neither the units nor memory.
+    """
+    units = engine.units
+    return trace.evaluator().evaluate(
+        latencies=latencies,
+        policies=[u.policy for u in units],
+        pipelined=[u.pipelined for u in units],
+        dispatch=engine.dispatch,
+        backend=engine.backend,
+    )
+
+
 def replay_launch(
     program: Callable,
     contexts: Sequence[WarpContext],
     engine,
-) -> tuple[SchedulerResult | None, dict[str, UnitStats] | None, str]:
-    """Decide one ``mode="replay"`` launch; returns ``(result, stats, tag)``.
+) -> tuple[
+    SchedulerResult | None, dict[str, UnitStats] | None, str,
+    CompiledTrace | None,
+]:
+    """Decide one ``mode="replay"`` launch: ``(result, stats, tag, trace)``.
 
     ``engine`` is the launching :class:`~repro.machine.engine.MachineEngine`
     or :class:`~repro.machine.hmm.HMMEngine`; its units have just been
@@ -1312,6 +1335,10 @@ def replay_launch(
     * refusal (non-oblivious / unkeyable / flagged / overflow) →
       ``result is None``, tag ``"replay-refused"``: the caller runs the
       launch on the event scheduler.
+
+    ``trace`` is the trace a hit priced or a capture the store accepted,
+    which prices this launch at any other latency; ``None`` after a
+    refusal or a capture the self-check rejected.
     """
     store = default_store()
     width = engine.params.width
@@ -1326,7 +1353,7 @@ def replay_launch(
     )
     if key is None or store.flagged(key.struct):
         store.note_refusal()
-        return None, None, "replay-refused"
+        return None, None, "replay-refused", None
 
     unit_names = [unit.name for unit in units]
     trace = store.lookup(key)
@@ -1334,18 +1361,12 @@ def replay_launch(
         machine=engine.kind, width=width, contexts=contexts,
         unit_names=unit_names,
     ):
-        result, stats = trace.evaluator().evaluate(
-            latencies=[u.latency for u in units],
-            policies=[u.policy for u in units],
-            pipelined=[u.pipelined for u in units],
-            dispatch=engine.dispatch,
-            backend=engine.backend,
-        )
+        result, stats = price_trace(trace, engine, [u.latency for u in units])
         for space in spaces:
             cells = trace.post_state.get(space.name)
             if cells is not None:
                 space.load_state(cells)
-        return result, stats, "replay"
+        return result, stats, "replay", trace
 
     # Miss: capture with one instrumented event run.
     compiler = TraceCompiler(unit_names, max_transactions=store.capture_limit)
@@ -1359,7 +1380,7 @@ def replay_launch(
     )
     if result is None:
         store.note_refusal()
-        return None, None, "replay-refused"
+        return None, None, "replay-refused", None
     trace = compiler.compile(
         contexts=contexts,
         machine=engine.kind,
@@ -1367,5 +1388,5 @@ def replay_launch(
         post_state={space.name: space.state() for space in spaces},
         fingerprint=store.fingerprint,
     )
-    store.insert(key, trace)
-    return result, None, "replay-capture"
+    accepted = store.insert(key, trace)
+    return result, None, "replay-capture", trace if accepted else None

@@ -116,20 +116,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    client = ServiceClient(args.url)
     params = {name: getattr(args, name) for name in
               ("n", "k", "p", "w", "l", "d")}
     try:
-        if args.what == "cost":
-            body = client.cost(args.kernel, args.model, params,
-                               mode=args.mode)
-        elif args.what == "advise":
-            body = client.advise(args.kernel, args.model, params,
-                                 mode=args.mode)
-        elif args.what == "metrics":
-            body = client.metrics()
-        else:
-            body = client.healthz()
+        with ServiceClient(args.url) as client:
+            if args.what == "cost":
+                body = client.cost(args.kernel, args.model, params,
+                                   mode=args.mode)
+            elif args.what == "advise":
+                body = client.advise(args.kernel, args.model, params,
+                                     mode=args.mode)
+            elif args.what == "metrics":
+                body = client.metrics()
+            else:
+                body = client.healthz()
     except ServiceError as exc:
         print(json.dumps(exc.body, indent=2, sort_keys=True))
         return 1

@@ -11,7 +11,10 @@ bodies only.
 
 :class:`HttpError` is the internal "abort this request with status X"
 exception both servers raise; :func:`error_body` builds the structured
-JSON error bodies the protocol layer documents.
+JSON error bodies the protocol layer documents.  A peer whose response
+framing is malformed raises :class:`MalformedResponse`, a
+:class:`ConnectionError`, so callers treat it like any broken
+transport (the client retries, the router reroutes).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "MAX_HEADER_LINES",
     "REASONS",
     "HttpError",
+    "MalformedResponse",
     "error_body",
     "exchange",
     "read_request",
@@ -50,6 +54,10 @@ class HttpError(Exception):
         self.status = status
         self.body = body
         self.headers = headers or {}
+
+
+class MalformedResponse(ConnectionError):
+    """A peer answered with a malformed status line or Content-Length."""
 
 
 def error_body(code: str, message: str) -> dict:
@@ -182,7 +190,9 @@ async def _read_response(
     status_line = await reader.readline()
     if not status_line:
         raise ConnectionResetError("peer closed before responding")
-    status = int(status_line.split(maxsplit=2)[1])
+    fields = status_line.split(maxsplit=2)
+    if len(fields) < 2 or not fields[1].isdigit():
+        raise MalformedResponse(f"malformed status line {status_line[:80]!r}")
     headers: dict[str, str] = {}
     while True:
         line = await reader.readline()
@@ -190,5 +200,8 @@ async def _read_response(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    raw = await reader.readexactly(int(headers.get("content-length", "0")))
-    return status, headers, raw
+    length = headers.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()):
+        raise MalformedResponse(f"invalid Content-Length {length!r}")
+    raw = await reader.readexactly(int(length))
+    return int(fields[1]), headers, raw

@@ -6,6 +6,9 @@ baseline configuration, a runner that builds a fresh engine and
 executes the kernel under a candidate configuration, and (where the
 model provides one) an analytic certificate — a Table II lower bound or
 the conflict-free slot count — that lets the search stop early.
+:meth:`TuneTask.run_grid` costs one configuration over a latency grid
+with one launch where replay keeps its trace, re-pricing that trace at
+the other latencies.
 
 Runners are deterministic: input data derives from a seeded RNG keyed
 by the task shape, so every candidate (and every worker process) costs
@@ -52,7 +55,7 @@ from repro.core.kernels.conflict_free import (
 from repro.core.kernels.sorting import flat_bitonic_sort
 from repro.core.machines import run_flat_sum
 from repro.errors import ConfigurationError
-from repro.machine.engine import MachineEngine
+from repro.machine.engine import MachineEngine, reprice
 from repro.machine.hmm import HMMEngine
 from repro.machine.policy import DMMBankPolicy, UMMGroupPolicy
 from repro.machine.report import RunReport
@@ -62,7 +65,7 @@ from repro.tuner.kernels import tile_transpose_kernel
 from repro.tuner.space import Axis, ParamSpace
 from repro.tuner.transforms import Pad, Skew, compose, wrap
 
-__all__ = ["TuneTask", "TASKS", "get_task", "run_config"]
+__all__ = ["TuneTask", "TASKS", "get_task", "run_config", "summarize_report"]
 
 _SEED = 20130520
 
@@ -78,7 +81,8 @@ class TuneTask:
     default_shape: dict
     space_fn: Callable[[dict], ParamSpace]
     baseline_fn: Callable[[dict], dict]
-    #: ``(config, shape, l, mode) -> (output, report, machine_params)``.
+    #: ``(config, shape, l, mode) -> (output, report, engine)``: builds
+    #: a fresh engine and makes exactly one launch on it.
     run_fn: Callable
     #: Optional Table II bound at ``(shape, l)`` — enables certified
     #: early exit when a measured candidate reaches it.
@@ -101,7 +105,30 @@ class TuneTask:
         return self.baseline_fn(shape)
 
     def run(self, config: dict, shape: dict, l: int, mode: str):
-        return self.run_fn(config, shape, l, mode)
+        """One launch at latency ``l``: ``(output, report, params)``."""
+        out, report, engine = self.run_fn(config, shape, l, mode)
+        return out, report, engine.params
+
+    def run_grid(
+        self, config: dict, shape: dict, lats, mode: str,
+    ) -> list[tuple[np.ndarray, RunReport]]:
+        """``(output, report)`` at each latency of ``lats``.
+
+        Equal to one :meth:`run` per latency.  A launch that replay
+        priced from a stored trace, or captured into the store, is
+        re-priced at the next latency
+        (:func:`~repro.machine.engine.reprice`) instead of being built,
+        keyed and looked up again; any other launch (event, batch,
+        refused) is followed by a full launch at the next latency.
+        """
+        runs = []
+        engine = None
+        for l in lats:
+            report = None if engine is None else reprice(engine, l)
+            if report is None:
+                out, report, engine = self.run_fn(config, shape, l, mode)
+            runs.append((out, report))
+        return runs
 
     def lower_bound(self, shape: dict, l: int) -> float | None:
         if self.lower_bound_fn is None:
@@ -160,7 +187,7 @@ def _run_transpose(config: dict, shape: dict, l: int, mode: str):
     report = engine.launch(
         tile_transpose_kernel(a, b, m, tiles, d), d * w,
         label="tune-transpose")
-    return b.to_numpy().reshape(m, m), report, engine.params
+    return b.to_numpy().reshape(m, m), report, engine
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +205,11 @@ def _sum_space(shape: dict) -> ParamSpace:
 
 def _run_sum(config: dict, shape: dict, l: int, mode: str):
     w, n = shape["w"], shape["n"]
-    params = MachineParams(width=w, latency=l)
-    engine = MachineEngine(params, UMMGroupPolicy(), name="umm",
-                           dispatch=config["dispatch"], mode=mode)
+    engine = MachineEngine(MachineParams(width=w, latency=l), UMMGroupPolicy(),
+                           name="umm", dispatch=config["dispatch"], mode=mode)
     values = _rng(shape).standard_normal(n)
     total, report = run_flat_sum(engine, values, config["p"])
-    return np.asarray([total]), report, params
+    return np.asarray([total]), report, engine
 
 
 def _sum_lower_bound(shape: dict, l: int) -> float:
@@ -208,9 +234,8 @@ def _sort_space(shape: dict) -> ParamSpace:
 
 def _run_sort(config: dict, shape: dict, l: int, mode: str):
     w, n = shape["w"], shape["n"]
-    params = MachineParams(width=w, latency=l)
-    engine = MachineEngine(params, DMMBankPolicy(), name="dmm",
-                           dispatch=config["dispatch"], mode=mode)
+    engine = MachineEngine(MachineParams(width=w, latency=l), DMMBankPolicy(),
+                           name="dmm", dispatch=config["dispatch"], mode=mode)
     values = _rng(shape).standard_normal(n)
     p = min(4 * w, n)
     if config["network"] == "naive":
@@ -220,7 +245,7 @@ def _run_sort(config: dict, shape: dict, l: int, mode: str):
         # naive network (what makes the conflict certificate sound);
         # the fused burst variant is benchmarked separately.
         out, report = flat_cf_sort(engine, values, p, fused=False)
-    return out, report, params
+    return out, report, engine
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +272,8 @@ def _permutation_space(shape: dict) -> ParamSpace:
 
 def _run_permutation(config: dict, shape: dict, l: int, mode: str):
     w, n = shape["w"], shape["n"]
-    params = MachineParams(width=w, latency=l)
-    engine = MachineEngine(params, DMMBankPolicy(), name="dmm",
-                           dispatch=config["dispatch"], mode=mode)
+    engine = MachineEngine(MachineParams(width=w, latency=l), DMMBankPolicy(),
+                           name="dmm", dispatch=config["dispatch"], mode=mode)
     values = _rng(shape).standard_normal(n)
     perm = _adversarial_perm(shape)
     if config["schedule"] == "naive":
@@ -261,7 +285,7 @@ def _run_permutation(config: dict, shape: dict, l: int, mode: str):
     report = engine.launch(
         oblivious_permutation_kernel(a, b, perm, schedule), min(8 * w, n),
         label="tune-permutation")
-    return b.to_numpy(), report, params
+    return b.to_numpy(), report, engine
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +301,8 @@ def _gather_space(shape: dict) -> ParamSpace:
 
 def _run_gather(config: dict, shape: dict, l: int, mode: str):
     w, n = shape["w"], shape["n"]
-    params = MachineParams(width=w, latency=l)
-    engine = MachineEngine(params, UMMGroupPolicy(), name="umm", mode=mode)
+    engine = MachineEngine(MachineParams(width=w, latency=l), UMMGroupPolicy(),
+                           name="umm", mode=mode)
     rng = _rng(shape)
     values = rng.standard_normal(n)
     targets = rng.permutation(n)
@@ -287,7 +311,7 @@ def _run_gather(config: dict, shape: dict, l: int, mode: str):
     out = engine.alloc(n, "tune.out")
     report = engine.launch(
         gather_kernel(idx, a, out, n), config["p"], label="tune-gather")
-    return out.to_numpy(), report, params
+    return out.to_numpy(), report, engine
 
 
 TASKS: dict[str, TuneTask] = {

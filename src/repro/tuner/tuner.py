@@ -8,10 +8,14 @@ grid.  Mechanics:
   JSON-able point fanned out over a
   :class:`~repro.analysis.executor.SweepExecutor` (parallel workers +
   persistent result cache in the unified store's ``tune`` namespace,
-  default ``benchmarks/.store/tune``).
+  default ``benchmarks/.store/tune``).  The executor groups a
+  configuration's uncached latencies (``axis="l"``) into one
+  :func:`measure_candidate` call.
 * **Replay** — for oblivious tasks the default mode is ``"replay"``:
-  each candidate layout is captured once and re-priced from its trace
-  at every other latency, which is what makes wide searches cheap.
+  each candidate layout is built, keyed and looked up (or captured)
+  once, at its first uncached latency, and its trace is re-priced at
+  the others (:meth:`~repro.tuner.demos.TuneTask.run_grid`), which is
+  what makes wide searches cheap.
   Non-oblivious tasks (see :data:`repro.machine.replay.NON_OBLIVIOUS_MODULES`)
   fall back to the batch engine.
 * **Early exit** — the search stops as soon as a candidate is
@@ -38,7 +42,7 @@ from repro.analysis.advisor import Advice, diagnose
 from repro.analysis.executor import SweepExecutor
 from repro.errors import ConfigurationError
 from repro.machine.engine import resolve_mode
-from repro.tuner.demos import TuneTask, get_task, run_config
+from repro.tuner.demos import TuneTask, get_task, summarize_report
 from repro.tuner.search import STRATEGIES, make_strategy
 
 __all__ = [
@@ -60,14 +64,19 @@ def resolve_tune_mode(task: TuneTask, mode: str) -> str:
     return resolve_mode(mode)
 
 
-def measure_candidate(point: dict) -> tuple[int, dict]:
-    """Cost one ``(task, config, shape, latency, mode)`` point.
+def measure_candidate(points: list[dict]) -> list[tuple[int, dict]]:
+    """Cost one candidate at the latency of each of ``points``.
 
-    Module-level (picklable) and fed a JSON-able dict, so it can run in
+    Each point is a JSON-able ``(task, config, shape, l, mode)`` dict;
+    they agree on everything but ``l`` (the executor groups them with
+    ``axis="l"``).  Module-level (picklable), so it can run in
     :class:`SweepExecutor` workers and key the on-disk result cache.
     """
-    return run_config(point["task"], point["config"], point["shape"],
-                      point["l"], point["mode"])
+    first = points[0]
+    runs = get_task(first["task"]).run_grid(
+        first["config"], first["shape"], [q["l"] for q in points],
+        first["mode"])
+    return [(report.cycles, summarize_report(report)) for _, report in runs]
 
 
 @dataclass(frozen=True)
@@ -254,7 +263,7 @@ def tune(
             for c in configs for l in lats
         ]
         rows = ex.run(measure_candidate, points, mode=run_mode,
-                      label=f"tune:{task.name}")
+                      label=f"tune:{task.name}", axis="l")
         out = []
         for i, c in enumerate(configs):
             chunk = rows[i * len(lats):(i + 1) * len(lats)]

@@ -46,6 +46,20 @@ def cheap_measure_dict(q) -> int:
     return q["n"] * q["l"] + 7
 
 
+def flexible_measure(q):
+    """``cheap_measure_dict`` for one point, or for a group of points
+    (one invocation, appended to ``REPRO_TEST_GROUP_FILE``); one
+    function serves both call shapes, so runs with and without ``axis``
+    share cache keys."""
+    if isinstance(q, dict):
+        return cheap_measure_dict(q), {"n": q["n"]}
+    path = os.environ.get("REPRO_TEST_GROUP_FILE")
+    if path:
+        with open(path, "a") as fh:
+            fh.write(json.dumps(q) + "\n")
+    return [flexible_measure(point) for point in q]
+
+
 def failing_measure(q) -> int:
     if q.n == 16:
         raise RuntimeError("boom at n=16")
@@ -352,3 +366,89 @@ class TestPoolReuse:
         with SweepExecutor(jobs=2, cache=False, keep_pool=True) as ex:
             pooled = ex.run(cheap_measure, POINTS)
         assert [p.cycles for p in serial] == [p.cycles for p in pooled]
+
+
+#: Dict points; ``l`` is the grouping axis, ``n`` tells the groups apart.
+AXIS_POINTS = [{"n": n, "l": l, "mode": "m"} for n in (8, 16, 32)
+               for l in (1, 2, 3)]
+
+
+@pytest.fixture()
+def group_file(tmp_path, monkeypatch):
+    path = tmp_path / "groups"
+    monkeypatch.setenv("REPRO_TEST_GROUP_FILE", str(path))
+    return path
+
+
+def _groups(path) -> list:
+    return ([json.loads(line) for line in path.read_text().splitlines()]
+            if path.exists() else [])
+
+
+def _stored(ex: SweepExecutor) -> dict:
+    return dict(ex.cache.store_namespace.scan())
+
+
+class TestAxisGrouping:
+    """``run(..., axis=...)``: one measure call per group of missing
+    points, with per-point keys, lookups and stores."""
+
+    def test_one_call_per_group_in_grid_order(self, group_file):
+        rows = SweepExecutor(cache=False).run(flexible_measure, AXIS_POINTS,
+                                              axis="l")
+        assert [r.params for r in rows] == AXIS_POINTS
+        assert [r.cycles for r in rows] == [
+            q["n"] * q["l"] + 7 for q in AXIS_POINTS]
+        assert _groups(group_file) == [AXIS_POINTS[0:3], AXIS_POINTS[3:6],
+                                       AXIS_POINTS[6:9]]
+
+    def test_keys_entries_and_counts_equal_per_point_runs(self, tmp_path):
+        runs = {}
+        for axis in (None, "l"):
+            ex = SweepExecutor(cache=True, cache_dir=tmp_path / str(axis))
+            cold = ex.run(flexible_measure, AXIS_POINTS, mode="m", axis=axis)
+            warm = ex.run(flexible_measure, AXIS_POINTS, mode="m", axis=axis)
+            runs[axis] = (cold, warm, _stored(ex),
+                          ex.metrics["cache.hits"], ex.metrics["cache.misses"])
+        assert runs["l"] == runs[None]
+        _, _, stored, hits, misses = runs["l"]
+        desc = describe_measure(flexible_measure)
+        ex = SweepExecutor(cache=False)
+        assert set(stored) == {
+            point_key(desc, q, mode="m", fingerprint=ex.fingerprint)
+            for q in AXIS_POINTS}
+        assert (hits, misses) == (len(AXIS_POINTS), len(AXIS_POINTS))
+
+    def test_only_missing_points_are_measured(self, cache_dir, group_file):
+        ex = SweepExecutor(cache=True, cache_dir=cache_dir)
+        cached = [q for q in AXIS_POINTS if q["n"] == 8 or q["l"] == 1]
+        ex.run(flexible_measure, cached, mode="m")
+        rows = ex.run(flexible_measure, AXIS_POINTS, mode="m", axis="l")
+        assert [r.cycles for r in rows] == [
+            q["n"] * q["l"] + 7 for q in AXIS_POINTS]
+        assert _groups(group_file) == [
+            [q for q in AXIS_POINTS if q["n"] == n and q["l"] != 1]
+            for n in (16, 32)]
+        assert ex.metrics["cache.hits"] == len(cached)
+
+    def test_jobs2_equals_jobs1(self, group_file):
+        serial = SweepExecutor(jobs=1, cache=False).run(
+            flexible_measure, AXIS_POINTS, axis="l")
+        parallel = SweepExecutor(jobs=2, cache=False).run(
+            flexible_measure, AXIS_POINTS, axis="l")
+        assert parallel == serial
+        # Each group stayed whole: three groups per run, six in all.
+        groups = _groups(group_file)
+        assert len(groups) == 6
+        assert sorted(map(json.dumps, groups[3:])) == sorted(
+            map(json.dumps, groups[:3]))
+
+    def test_point_without_the_axis_is_an_error(self):
+        with pytest.raises(ValueError, match="no field 'k'"):
+            SweepExecutor(cache=False).run(flexible_measure, AXIS_POINTS,
+                                           axis="k")
+
+    def test_grouped_measure_must_answer_every_point(self):
+        with pytest.raises(ValueError, match="2 results for 3 points"):
+            SweepExecutor(cache=False).run(
+                lambda group: [(1, {}), (2, {})], AXIS_POINTS, axis="l")

@@ -5,15 +5,19 @@ picks the evaluator (event, batch, batch fallback, replay capture, hit
 or refusal).  Whatever it picks, the report carries the matching engine
 tag and the event run's numbers, and memory ends in the event run's
 image.  The tests also pin the shared rollback guard: an abandoned
-attempt leaves no stores behind and no undo log open.
+attempt leaves no stores behind and no undo log open, and
+:func:`reprice`: a replayed launch priced at another latency equals a
+launch at that latency, and touches neither memory nor units.
 """
 
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from repro.errors import KernelError
+from repro.errors import ConfigurationError, KernelError
+from repro.machine.engine import reprice
 from repro.machine.replay import (
     default_store,
     non_oblivious,
@@ -95,13 +99,27 @@ def _early_exit_accumulate(a, b, scratch):
     return prog
 
 
-def _build(kind, mode):
-    """A fresh engine with ``a``, a padded ``b`` and (HMM) shared scratch."""
+def _value_indexed(a, b, scratch):
+    """Reads ``a`` where the sign of its own values points: the
+    addresses, and so the trace, follow the input data."""
+
+    def prog(warp):
+        vals = yield warp.read(a, warp.tids)
+        idx = np.where(vals > 0, warp.tids, (3 * warp.tids) % NUM_THREADS)
+        got = yield warp.read(a, idx)
+        yield warp.write(b, warp.tids, got)
+
+    return prog
+
+
+def _build(kind, mode, latency=5):
+    """A fresh engine with ``a``, a padded ``b`` and (HMM) shared scratch;
+    ``latency`` is the flat unit's or the HMM global unit's."""
     b_init = np.full(NUM_THREADS + UNTOUCHED, -5.0)
     if kind == "flat":
-        eng = make_dmm(mode=mode)
+        eng = make_dmm(mode=mode, latency=latency)
         return eng, eng.array_from(A, "a"), eng.array_from(b_init, "b"), None
-    eng = make_hmm(mode=mode)
+    eng = make_hmm(mode=mode, global_latency=latency)
     a = eng.global_from(A, "a")
     b = eng.global_from(b_init, "b")
     return eng, a, b, eng.alloc_shared_all(NUM_THREADS, "s")
@@ -115,13 +133,17 @@ class Launch(NamedTuple):
     images: list
 
 
-def _launch(kind, mode, make_prog=_accumulate, *, mark=None, trace=None):
-    """Launch ``make_prog``'s program on a fresh engine."""
-    eng, a, b, scratch = _build(kind, mode)
+def _launch(kind, mode, make_prog=_accumulate, *, mark=None, trace=None,
+            latency=5, engine_out=None):
+    """Launch ``make_prog``'s program on a fresh engine (appended to
+    ``engine_out`` when given)."""
+    eng, a, b, scratch = _build(kind, mode, latency)
     prog = make_prog(a, b, scratch)
     if mark is not None:
         prog = mark(prog)
     report = eng.launch(prog, NUM_THREADS, trace=trace)
+    if engine_out is not None:
+        engine_out.append(eng)
     return Launch(report, b.to_numpy(), [space.state() for space in eng.spaces])
 
 
@@ -205,3 +227,95 @@ def test_failed_attempt_closes_undo_log(kind, mode):
     with pytest.raises(KernelError, match="boom"):
         eng.launch(failing, NUM_THREADS)
     assert all(space._undo is None for space in eng.spaces)
+
+
+@pytest.mark.parametrize("kind", ["flat", "hmm"])
+class TestReprice:
+    """``reprice`` prices the last replayed launch's trace at another
+    latency of the first unit (the flat unit, the HMM global unit)."""
+
+    @pytest.mark.parametrize("first", ["replay-capture", "replay"])
+    def test_equals_a_launch_at_that_latency(self, kind, first):
+        if first == "replay":
+            _launch(kind, "replay")  # stores the trace the next one hits
+        engines = []
+        assert _launch(kind, "replay",
+                       engine_out=engines).report.engine == first
+        for latency in (1, 5, 9, 40):
+            expected = _launch(kind, "event", latency=latency).report
+            report = reprice(engines[0], latency)
+            assert report.engine == "replay"
+            assert_reports_equal(expected, report)
+            assert report.label == expected.label
+        # One lookup (the hit) or none (the capture); reprice adds none.
+        stats = default_store().metrics["trace_store"]
+        assert stats["hits"] == (1 if first == "replay" else 0)
+
+    @pytest.mark.parametrize("first", ["replay-capture", "replay"])
+    def test_touches_no_memory_and_no_unit(self, kind, first):
+        if first == "replay":
+            _launch(kind, "replay")
+        engines = []
+        _launch(kind, "replay", engine_out=engines)
+        eng = engines[0]
+        images = [space.state() for space in eng.spaces]
+        units = [(u.latency, dataclasses.replace(u.stats)) for u in eng.units]
+        for latency in (2, 64):
+            reprice(eng, latency)
+        for space, image in zip(eng.spaces, images):
+            np.testing.assert_array_equal(space.state(), image)
+        assert [(u.latency, u.stats) for u in eng.units] == units
+
+    @pytest.mark.parametrize("mode, kwargs", [
+        ("event", {}),
+        ("batch", {}),
+        ("batch", {"make_prog": _early_exit}),
+        ("replay", {"mark": non_oblivious}),
+        ("replay", {"trace": "recorder"}),
+    ], ids=["event", "batch", "batch-fallback", "refused", "recorder"])
+    def test_none_after_a_launch_without_a_trace(self, kind, mode, kwargs):
+        if kwargs.get("trace") == "recorder":
+            kwargs = {"trace": TraceRecorder()}
+        engines = []
+        _launch(kind, mode, engine_out=engines, **kwargs)
+        assert reprice(engines[0], 9) is None
+
+    def test_none_after_an_overflowed_capture(self, kind, monkeypatch):
+        limit = _launch(kind, "event").report.total_transactions() - 1
+        monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", str(limit))
+        reset_default_store()
+        engines = []
+        run = _launch(kind, "replay", engine_out=engines)
+        assert run.report.engine == "replay-refused"
+        assert reprice(engines[0], 9) is None
+
+    def test_none_after_a_rejected_capture(self, kind):
+        def launch(values):
+            eng, a, b, scratch = _build(kind, "replay")
+            a.set(values)
+            report = eng.launch(_value_indexed(a, b, scratch), NUM_THREADS)
+            return eng, report
+
+        accepted, report = launch(A)
+        assert report.engine == "replay-capture"
+        assert reprice(accepted, 9) is not None
+        # Other data, another trace: the self-check flags the program.
+        rejected, report = launch(-A)
+        assert report.engine == "replay-capture"
+        assert default_store().metrics["trace_store.flagged_programs"] == 1
+        assert reprice(rejected, 9) is None
+
+    def test_a_new_launch_forgets_the_last_trace(self, kind):
+        engines = []
+        _launch(kind, "replay", engine_out=engines)
+        eng, a, b, scratch = _build(kind, "replay")
+        eng.launch(_accumulate(a, b, scratch), NUM_THREADS)
+        assert reprice(eng, 9) is not None
+        eng.launch(_accumulate(a, b, scratch), NUM_THREADS, mode="event")
+        assert reprice(eng, 9) is None
+
+    def test_rejects_latency_below_one(self, kind):
+        engines = []
+        _launch(kind, "replay", engine_out=engines)
+        with pytest.raises(ConfigurationError, match="latency"):
+            reprice(engines[0], 0)

@@ -365,3 +365,29 @@ class TestQueryCli:
                     assert body["mode"] == mode
         finally:
             reset_default_store()
+
+    def test_each_query_closes_its_client(self, monkeypatch, capsys):
+        from repro.service.__main__ import main
+
+        closes = []
+        close = ServiceClient.close
+
+        def spy(client):
+            closes.append(client)
+            close(client)
+
+        monkeypatch.setattr(ServiceClient, "close", spy)
+        with BackgroundServer(cache=False, telemetry=False) as srv:
+            queries = [
+                (["healthz"], 0),
+                (["metrics"], 0),
+                (["cost", "--n", "256", "--p", "32"], 0),
+                # A 400 answer: the client still closes.
+                (["cost", "--n", "256", "--p", "0"], 1),
+            ]
+            for args, status in queries:
+                assert main(["query", *args[:1], "--url", srv.url,
+                             *args[1:]]) == status
+        capsys.readouterr()
+        assert len(closes) == len(queries)
+        assert len({id(c) for c in closes}) == len(queries)

@@ -11,14 +11,21 @@ the deterministic per-point measurements on disk, and ``mode="batch"``
 automatic per-point fallback to the event engine (recorded in each
 point's ``extra["engine"]``).  Cycle counts are identical across modes
 and job counts.
+
+A point's inputs (:func:`point_rng`) depend on the kernel, the seed and
+the launch shape but not on the latency ``l``, so every latency of one
+shape launches on the same memory pre-state.
+:func:`sum_launch_reports` / :func:`conv_launch_reports` price such a
+latency grid from one launch under ``mode="replay"``: the first point
+is captured (or hit) and its trace re-priced at the others.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,9 +33,18 @@ from repro.analysis.costmodel import CONV_FORMULAS, SUM_FORMULAS
 from repro.analysis.executor import SweepExecutor, SweepProgress
 from repro.analysis.fitting import FitResult, fit_terms
 from repro.analysis.terms import Params
-from repro.core.machines import DMM, HMM, UMM
+from repro.core.kernels.hmm_conv import hmm_convolution
+from repro.core.kernels.hmm_sum import hmm_sum
+from repro.core.machines import (
+    DMM,
+    HMM,
+    UMM,
+    run_flat_convolution,
+    run_flat_sum,
+)
 from repro.core.pram import PRAM
 from repro.core.sequential import SequentialMachine
+from repro.machine.engine import launch_grid
 from repro.params import HMMParams, MachineParams
 
 __all__ = [
@@ -40,6 +56,9 @@ __all__ = [
     "conv_task",
     "sum_launch_report",
     "conv_launch_report",
+    "sum_launch_reports",
+    "conv_launch_reports",
+    "task_result",
 ]
 
 #: Default sweep grids (simulator-friendly scale of the paper's regime).
@@ -69,80 +88,126 @@ CONV_FORMULA_KEY = {
 }
 
 
-def _sum_report(model: str, q: dict, values: np.ndarray, mode: str,
+def _engine(model: str, q: dict, mode: str, backend: "str | None"):
+    """A fresh engine of machine ``model`` at grid point ``q``."""
+    if model in ("dmm", "umm"):
+        machine = (DMM if model == "dmm" else UMM)(
+            MachineParams(width=q["w"], latency=q["l"]), mode=mode,
+            backend=backend)
+    elif model == "hmm":
+        machine = HMM(
+            HMMParams(num_dmms=q["d"], width=q["w"], global_latency=q["l"]),
+            mode=mode,
+            backend=backend,
+        )
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return machine.engine()
+
+
+def _sum_launch(model: str, q: dict, values: np.ndarray, mode: str,
                 backend: "str | None" = None):
+    """One sum at ``q``: ``(total, report, engine)``; the sequential and
+    PRAM models have no engine (``None``)."""
     if model == "sequential":
-        return SequentialMachine().sum(values)
+        return None, SequentialMachine().sum(values), None
     if model == "pram":
-        return PRAM(q["p"]).sum(values)
-    if model == "dmm":
-        machine = DMM(MachineParams(width=q["w"], latency=q["l"]), mode=mode,
-                      backend=backend)
-        return machine.sum(values, q["p"])[1]
-    if model == "umm":
-        machine = UMM(MachineParams(width=q["w"], latency=q["l"]), mode=mode,
-                      backend=backend)
-        return machine.sum(values, q["p"])[1]
-    if model == "hmm":
-        machine = HMM(
-            HMMParams(num_dmms=q["d"], width=q["w"], global_latency=q["l"]),
-            mode=mode,
-            backend=backend,
-        )
-        return machine.sum(values, q["p"])[1]
-    raise ValueError(f"unknown model {model!r}")
+        return None, PRAM(q["p"]).sum(values), None
+    engine = _engine(model, q, mode, backend)
+    run = hmm_sum if model == "hmm" else run_flat_sum
+    total, report = run(engine, values, q["p"])
+    return total, report, engine
 
 
-def _conv_report(
-    model: str, q: dict, x: np.ndarray, y: np.ndarray, mode: str,
-    backend: "str | None" = None,
-):
+def _conv_launch(model: str, q: dict, x: np.ndarray, y: np.ndarray,
+                 mode: str, backend: "str | None" = None):
+    """One convolution at ``q``: ``(z, report, engine)``, as
+    :func:`_sum_launch`."""
     if model == "sequential":
-        return SequentialMachine().convolution(x, y)
+        return None, SequentialMachine().convolution(x, y), None
     if model == "pram":
-        return PRAM(q["p"]).convolution(x, y)
-    if model == "dmm":
-        machine = DMM(MachineParams(width=q["w"], latency=q["l"]), mode=mode,
-                      backend=backend)
-        return machine.convolve(x, y, q["p"])[1]
-    if model == "umm":
-        machine = UMM(MachineParams(width=q["w"], latency=q["l"]), mode=mode,
-                      backend=backend)
-        return machine.convolve(x, y, q["p"])[1]
-    if model == "hmm":
-        machine = HMM(
-            HMMParams(num_dmms=q["d"], width=q["w"], global_latency=q["l"]),
-            mode=mode,
-            backend=backend,
-        )
-        return machine.convolve(x, y, q["p"])[1]
-    raise ValueError(f"unknown model {model!r}")
+        return None, PRAM(q["p"]).convolution(x, y), None
+    engine = _engine(model, q, mode, backend)
+    run = hmm_convolution if model == "hmm" else run_flat_convolution
+    z, report = run(engine, x, y, q["p"])
+    return z, report, engine
 
 
 def measure_sum(
     model: str, q: dict, values: np.ndarray, *, mode: str = "event"
 ) -> int:
     """Time units to sum ``values`` on ``model`` at grid point ``q``."""
-    return _sum_report(model, q, values, mode).cycles
+    return _sum_launch(model, q, values, mode)[1].cycles
 
 
 def measure_convolution(
     model: str, q: dict, x: np.ndarray, y: np.ndarray, *, mode: str = "event"
 ) -> int:
     """Time units to convolve ``x`` with ``y`` on ``model`` at ``q``."""
-    return _conv_report(model, q, x, y, mode).cycles
+    return _conv_launch(model, q, x, y, mode)[1].cycles
 
 
 def point_rng(seed: int, kind: str, q: Params) -> np.random.Generator:
-    """Per-point input stream, independent of sweep order and job count
-    (so parallel and serial sweeps see byte-identical inputs)."""
-    material = f"{kind}:{seed}:{q.n}:{q.k}:{q.p}:{q.w}:{q.l}:{q.d}"
+    """Per-point input stream: a function of the kernel, the seed and the
+    launch shape ``(n, k, p, w, d)``.
+
+    It depends neither on sweep order and job count (parallel and
+    serial sweeps see byte-identical inputs) nor on the latency ``l``:
+    every latency of one shape launches on the same inputs, so a
+    latency sweep prices one launch (see :func:`sum_launch_reports`).
+    The Table I kernels are memory-oblivious, so no cycle count depends
+    on the input values.
+    """
+    material = f"{kind}:{seed}:{q.n}:{q.k}:{q.p}:{q.w}:{q.d}"
     digest = hashlib.sha256(material.encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 def _as_grid_dict(q: Params) -> dict:
     return dict(n=q.n, k=q.k, p=q.p, w=q.w, l=q.l, d=q.d)
+
+
+def _grid_reports(launch, qs: Sequence[Params]) -> list:
+    """``launch``'s reports at points ``qs`` that differ only in ``l``,
+    through :func:`~repro.machine.engine.launch_grid`."""
+    first = qs[0]
+    for q in qs[1:]:
+        if replace(q, l=first.l) != first:
+            raise ValueError(
+                f"grouped Table I points must differ only in l: "
+                f"{first} vs {q}")
+    return [report for _, report in launch_grid(
+        lambda l: launch(_as_grid_dict(replace(first, l=l))),
+        [q.l for q in qs])]
+
+
+def sum_launch_reports(
+    qs: Sequence[Params], *, model: str, seed: int = 20130520,
+    mode: str = "batch", backend: "str | None" = None,
+) -> list:
+    """The run reports of Table I sum points ``qs``, which differ only
+    in the latency ``l``.
+
+    One launch where replay keeps its trace: the first point is
+    launched and the trace it priced or captured is re-priced at the
+    others (:func:`~repro.machine.engine.launch_grid`).  Equal, report
+    for report, to one :func:`sum_launch_report` per point.
+    """
+    values = point_rng(seed, "sum", qs[0]).normal(size=qs[0].n)
+    return _grid_reports(
+        lambda q: _sum_launch(model, q, values, mode, backend), qs)
+
+
+def conv_launch_reports(
+    qs: Sequence[Params], *, model: str, seed: int = 20130520,
+    mode: str = "batch", backend: "str | None" = None,
+) -> list:
+    """:func:`sum_launch_reports` for the direct convolution."""
+    rng = point_rng(seed, "conv", qs[0])
+    x = rng.normal(size=qs[0].k)
+    y = rng.normal(size=qs[0].n + qs[0].k - 1)
+    return _grid_reports(
+        lambda q: _conv_launch(model, q, x, y, mode, backend), qs)
 
 
 def sum_launch_report(
@@ -152,8 +217,8 @@ def sum_launch_report(
     """The full :class:`~repro.machine.report.RunReport` of one Table I
     sum point — same deterministic inputs as :func:`sum_task`, so the
     advisor (and the serving layer) diagnose exactly what was measured."""
-    values = point_rng(seed, "sum", q).normal(size=q.n)
-    return _sum_report(model, _as_grid_dict(q), values, mode, backend)
+    return sum_launch_reports([q], model=model, seed=seed, mode=mode,
+                              backend=backend)[0]
 
 
 def conv_launch_report(
@@ -161,10 +226,14 @@ def conv_launch_report(
     backend: "str | None" = None,
 ):
     """The full run report of one Table I convolution point."""
-    rng = point_rng(seed, "conv", q)
-    x = rng.normal(size=q.k)
-    y = rng.normal(size=q.n + q.k - 1)
-    return _conv_report(model, _as_grid_dict(q), x, y, mode, backend)
+    return conv_launch_reports([q], model=model, seed=seed, mode=mode,
+                               backend=backend)[0]
+
+
+def task_result(report) -> tuple[int, dict]:
+    """A Table I measurement: ``(cycles, {"engine": tag})``; the
+    sequential and PRAM models report ``"exact"``."""
+    return report.cycles, {"engine": getattr(report, "engine", "exact")}
 
 
 def sum_task(
@@ -176,9 +245,8 @@ def sum_task(
     Module-level and scalar-parameterized so the sweep executor can ship
     it to worker processes and key the result cache on it.
     """
-    report = sum_launch_report(q, model=model, seed=seed, mode=mode,
-                               backend=backend)
-    return report.cycles, {"engine": getattr(report, "engine", "exact")}
+    return task_result(sum_launch_report(q, model=model, seed=seed,
+                                         mode=mode, backend=backend))
 
 
 def conv_task(
@@ -186,9 +254,8 @@ def conv_task(
     backend: "str | None" = None,
 ) -> tuple[int, dict]:
     """Self-contained Table I convolution measurement at one grid point."""
-    report = conv_launch_report(q, model=model, seed=seed, mode=mode,
-                                backend=backend)
-    return report.cycles, {"engine": getattr(report, "engine", "exact")}
+    return task_result(conv_launch_report(q, model=model, seed=seed,
+                                          mode=mode, backend=backend))
 
 
 @dataclass(frozen=True)

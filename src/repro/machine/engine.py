@@ -27,6 +27,7 @@ from repro.params import MachineParams
 
 __all__ = [
     "MachineEngine",
+    "launch_grid",
     "make_warp_contexts",
     "reprice",
     "resolve_mode",
@@ -142,6 +143,29 @@ def reprice(engine, latency: int) -> RunReport | None:
     return _report(units, result, stats, num_threads=report.num_threads,
                    num_warps=report.num_warps, label=report.label,
                    engine="replay")
+
+
+def launch_grid(launch, lats) -> list[tuple[object, RunReport]]:
+    """``(output, report)`` of one launch shape at each latency of ``lats``.
+
+    ``launch(l)`` builds a fresh engine at latency ``l``, makes one
+    launch on it and returns ``(output, report, engine)``; ``engine``
+    is ``None`` for a machine :func:`reprice` cannot price.  Equal to
+    one ``launch`` per latency: a launch that replay priced from a
+    stored trace, or captured into the store, is re-priced at the next
+    latency instead of being built, keyed and looked up again; any
+    other launch (event, batch, refused) is followed by a full launch
+    at the next latency.  A re-priced latency reports the output of
+    the launch it re-prices.
+    """
+    runs = []
+    engine = None
+    for l in lats:
+        report = None if engine is None else reprice(engine, l)
+        if report is None:
+            out, report, engine = launch(l)
+        runs.append((out, report))
+    return runs
 
 
 def _report(units, result, stats, **meta) -> RunReport:

@@ -75,6 +75,7 @@ import io
 import json
 import threading
 import types
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -530,8 +531,14 @@ class CompiledTrace:
     def signature(self) -> str:
         """Digest of the trace *structure* (ops + addresses, not values).
 
-        Two captures of an oblivious program under different input data
-        must produce equal signatures; the trace store enforces this.
+        Each warp's ops and lane addresses are digested in that warp's
+        program order, not in global dispatch order, as
+        :func:`repro.analysis.certify.trace_signature` does: the
+        cross-warp interleaving is a scheduling artifact that shifts
+        with the latency and the dispatch policy, while each warp's own
+        stream is what the kernel determines.  Two captures of an
+        oblivious program under different input data, at any latency,
+        produce equal signatures; the trace store enforces this.
         """
         h = hashlib.sha256()
         core = {
@@ -542,11 +549,18 @@ class CompiledTrace:
             )
         }
         h.update(json.dumps(core, sort_keys=True).encode())
+        order = np.argsort(self.op_warp, kind="stable")
         for arr in (
             self.op_warp, self.op_kind, self.op_unit, self.op_arg,
-            self.op_read, self.op_req, self.addr_off, self.addresses,
+            self.op_read, self.op_req,
         ):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr[order]).tobytes())
+        # Each op's address slice, in the same per-warp order.
+        starts = self.addr_off[:-1][order]
+        sizes = self.addr_off[1:][order] - starts
+        gather = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) \
+            + np.arange(int(sizes.sum()), dtype=np.int64)
+        h.update(np.ascontiguousarray(self.addresses[gather]).tobytes())
         return h.hexdigest()
 
     def evaluator(self) -> "ReplayCostEvaluator":
@@ -691,7 +705,15 @@ class ReplayCostEvaluator:
     def __init__(
         self, trace: CompiledTrace, *, backend: "str | None" = None
     ) -> None:
-        self.trace = trace
+        # The arrays pricing reads, not the trace itself: the trace
+        # caches its evaluator, and a reference back would make a cycle
+        # that keeps every evicted trace alive until a full collection.
+        self._width = int(trace.meta["width"])
+        self._op_kind = trace.op_kind
+        self._op_unit = trace.op_unit
+        self._op_arg = trace.op_arg
+        self._addr_off = trace.addr_off
+        self._addresses = trace.addresses
         self.backend = resolve_backend(backend)
         meta = trace.meta
         self._warp_ids: list[int] = list(meta["warp_ids"])
@@ -748,16 +770,15 @@ class ReplayCostEvaluator:
     def _python_lists(self) -> tuple:
         """Hot arrays as python lists (the Python loop is pure int work)."""
         if self._py_lists is None:
-            trace = self.trace
             off = self._stream_off
             streams = [
                 self._stream_ops[off[x]:off[x + 1]].tolist()
                 for x in range(len(self._warp_ids))
             ]
             self._py_lists = (
-                trace.op_kind.tolist(),
-                trace.op_unit.tolist(),
-                trace.op_arg.tolist(),
+                self._op_kind.tolist(),
+                self._op_unit.tolist(),
+                self._op_arg.tolist(),
                 streams,
             )
         return self._py_lists
@@ -771,7 +792,6 @@ class ReplayCostEvaluator:
         :attr:`_native_lock`.
         """
         if self._native_buf is None:
-            trace = self.trace
             n_warps = len(self._warp_ids)
             ids = np.asarray(self._warp_ids, dtype=np.int64)
             # DMM barrier groups: dense indices 1.. in first-appearance
@@ -799,15 +819,15 @@ class ReplayCostEvaluator:
                 ),
                 stream_off=self._stream_off,
                 stream_ops=self._stream_ops,
-                op_kind=np.ascontiguousarray(trace.op_kind, dtype=np.int8),
-                op_unit=np.ascontiguousarray(trace.op_unit, dtype=np.int16),
-                op_arg=np.ascontiguousarray(trace.op_arg, dtype=np.int64),
+                op_kind=np.ascontiguousarray(self._op_kind, dtype=np.int8),
+                op_unit=np.ascontiguousarray(self._op_unit, dtype=np.int16),
+                op_arg=np.ascontiguousarray(self._op_arg, dtype=np.int64),
                 **io,
             )
             buf.update(_NATIVE_KERNELS["repro_slot_counts"].pointers(
-                addr_off=np.ascontiguousarray(trace.addr_off, dtype=np.int64),
+                addr_off=np.ascontiguousarray(self._addr_off, dtype=np.int64),
                 addresses=np.ascontiguousarray(
-                    trace.addresses, dtype=np.int64
+                    self._addresses, dtype=np.int64
                 ),
             ))
             buf["n_groups"] = len(group_of) + 1
@@ -823,9 +843,9 @@ class ReplayCostEvaluator:
         cached = self._slots_cache.get(key)
         if cached is not None:
             return cached
-        width = int(self.trace.meta["width"])
-        trace = self.trace
-        slots = np.zeros(trace.num_ops, dtype=np.int64)
+        width = self._width
+        addr_off, addresses = self._addr_off, self._addresses
+        slots = np.zeros(self._op_kind.size, dtype=np.int64)
         per_unit = []
         for u, ops in enumerate(self._mem_by_unit):
             if ops.size == 0:
@@ -846,7 +866,8 @@ class ReplayCostEvaluator:
                     else:
                         PROCESS.inc("native.native_calls")
             if counts is None:
-                views = [trace.addresses_of(i) for i in ops]
+                views = [addresses[addr_off[i]:addr_off[i + 1]]
+                         for i in ops]
                 counts = policies[u].slot_counts(views, width).astype(
                     np.int64, copy=False
                 )
@@ -1121,8 +1142,17 @@ class _TraceCodec:
     extension = "npz"
 
     def encode(self, trace: "CompiledTrace") -> bytes:
+        # np.savez_compressed's layout (one ``<name>.npy`` member per
+        # array) at deflate level 1: about 1% larger, about twice
+        # as fast to write.
         buf = io.BytesIO()
-        np.savez_compressed(buf, **trace.to_payload())
+        with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_DEFLATED,
+                             compresslevel=1) as archive:
+            for name, array in trace.to_payload().items():
+                with archive.open(f"{name}.npy", "w",
+                                  force_zip64=True) as member:
+                    np.lib.format.write_array(member, np.asanyarray(array),
+                                              allow_pickle=False)
         return buf.getvalue()
 
     def decode(self, data: bytes) -> "CompiledTrace":
@@ -1142,11 +1172,12 @@ class TraceStore:
     (:mod:`repro.store`): lookups hit its in-memory LRU first, then the
     on-disk directory (shared across processes — sweep workers capture
     once, everyone replays), with envelope integrity verification and
-    quarantine of corrupt entries.  :meth:`insert` runs the cross-input
-    self-check: two captures sharing a ``struct`` key (same program +
-    shape) but with different input data must have identical trace
-    signatures, or the program is flagged non-oblivious, its traces
-    evicted, and replay refused from then on.
+    quarantine of corrupt entries.  A persisted capture enters the LRU
+    on its first lookup, not when stored.  :meth:`insert` runs the
+    cross-input self-check: two captures sharing a ``struct`` key (same
+    program + shape) but with different input data must have identical
+    trace signatures, or the program is flagged non-oblivious, its
+    traces evicted, and replay refused from then on.
     """
 
     def __init__(
@@ -1243,7 +1274,9 @@ class TraceStore:
             return False
         self._struct_sig[key.struct] = (key.data, signature)
         self._keys_by_struct.setdefault(key.struct, set()).add(key.full)
-        self._ns.put(key.full, trace)
+        # The capturing launch holds the trace for re-pricing; memory
+        # keeps it only once a later launch looks it up.
+        self._ns.put(key.full, trace, memory=False)
         self.metrics.inc("trace_store.captures")
         return True
 

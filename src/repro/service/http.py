@@ -96,13 +96,12 @@ async def read_request(reader: asyncio.StreamReader):
             400, error_body("too_many_headers", "too many header lines")
         )
     length_raw = headers.get("content-length", "0")
-    try:
-        length = int(length_raw)
-    except ValueError:
+    if not (length_raw.isascii() and length_raw.isdigit()):
         raise HttpError(
             400, error_body("bad_content_length",
                             f"invalid Content-Length {length_raw!r}")
-        ) from None
+        )
+    length = int(length_raw)
     if length > MAX_BODY_BYTES:
         raise HttpError(
             413, error_body("body_too_large",

@@ -10,18 +10,21 @@ in between, which is what the service's golden-equivalence guarantee is
 tested against: a served answer is bit-identical to the in-process one
 because it *is* the in-process one.
 
-:func:`evaluate_point` is the single measure function: module-level and
-picklable, so the executor can ship it to worker processes and key the
-result cache on it.  The spec dict (see
+:func:`evaluate_points` is the single measure function: module-level
+and picklable, so the executor can ship it to worker processes and key
+the result cache on it.  The executor hands it the missing specs of one
+request that differ only in ``l`` (``axis="l"``), and it prices them
+from one launch where replay keeps the trace.  The spec dict (see
 :mod:`repro.service.protocol`) is the cache's parameter point — kernel,
 model, mode, and seed included — so service traffic and offline sweeps
-share hits whenever their specs match.
+share hits whenever their specs match.  :func:`evaluate_point` is the
+same measure for one spec.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.advisor import diagnose
 from repro.analysis.executor import (
@@ -33,13 +36,18 @@ from repro.analysis.executor import (
 from repro.analysis.terms import Params
 from repro.experiments.table1 import (
     conv_launch_report,
-    conv_task,
+    conv_launch_reports,
     sum_launch_report,
-    sum_task,
+    sum_launch_reports,
+    task_result,
 )
+# The single-point Table I tasks stay attributes of this module (perfbench's
+# span layer wraps them); the oracle itself measures through
+# evaluate_points.
+from repro.experiments.table1 import conv_task, sum_task  # noqa: F401
 from repro.params import HMMParams, MachineParams
 
-__all__ = ["CostOracle", "evaluate_point"]
+__all__ = ["CostOracle", "evaluate_point", "evaluate_points"]
 
 
 def _params_of(spec: Mapping) -> Params:
@@ -54,16 +62,33 @@ def _spec_backend(spec: Mapping) -> "str | None":
     return None if backend == "auto" else backend
 
 
-def evaluate_point(spec: Mapping) -> tuple[int, dict]:
-    """One oracle measurement: the Table I task named by ``spec``.
+def evaluate_points(specs: Sequence[Mapping]) -> list[tuple[int, dict]]:
+    """Oracle measurements of specs that differ only in ``l``.
 
-    Identical code path to the experiment drivers, so a served cycle
-    count matches a direct :func:`repro.experiments.table1.sum_task` /
-    ``conv_task`` call for the same inputs exactly.
+    The Table I task named by the specs, on the experiment drivers'
+    code path, so a served cycle count matches a direct
+    :func:`repro.experiments.table1.sum_task` / ``conv_task`` call for
+    the same inputs exactly.  Inputs do not depend on ``l``, so under
+    replay the first spec is launched and its trace re-priced at the
+    other latencies (:func:`~repro.experiments.table1.sum_launch_reports`).
     """
-    task = sum_task if spec["kernel"] == "sum" else conv_task
-    return task(_params_of(spec), model=spec["model"], seed=spec["seed"],
-                mode=spec["mode"], backend=_spec_backend(spec))
+    first = specs[0]
+    rest = {k: v for k, v in first.items() if k != "l"}
+    for spec in specs[1:]:
+        if {k: v for k, v in spec.items() if k != "l"} != rest:
+            raise ValueError(
+                f"grouped specs must differ only in l: {first} vs {spec}")
+    launch = (sum_launch_reports if first["kernel"] == "sum"
+              else conv_launch_reports)
+    reports = launch([_params_of(s) for s in specs], model=first["model"],
+                     seed=first["seed"], mode=first["mode"],
+                     backend=_spec_backend(first))
+    return [task_result(report) for report in reports]
+
+
+def evaluate_point(spec: Mapping) -> tuple[int, dict]:
+    """One oracle measurement: :func:`evaluate_points` of one spec."""
+    return evaluate_points([spec])[0]
 
 
 def _machine_params(spec: Mapping) -> "MachineParams | HMMParams":
@@ -105,7 +130,8 @@ class CostOracle:
     # -- evaluation --------------------------------------------------------
     def _run(self, specs: list[dict], label: str) -> list[SweepPoint]:
         with self._lock:
-            return self.executor.run(evaluate_point, specs, label=label)
+            return self.executor.run(evaluate_points, specs, label=label,
+                                     axis="l")
 
     def evaluate_batch(self, specs: Iterable[Mapping]) -> list[dict]:
         """Evaluate unique specs (one micro-batch) into response bodies."""
@@ -245,7 +271,7 @@ class CostOracle:
 
     def _store_key(self, spec: Mapping) -> str:
         """The executor's cache key for an auto-backend-stripped spec."""
-        return point_key(describe_measure(evaluate_point), spec, mode=None,
+        return point_key(describe_measure(evaluate_points), spec, mode=None,
                          fingerprint=self.executor.fingerprint)
 
     # -- observability / lifecycle ----------------------------------------

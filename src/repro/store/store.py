@@ -375,14 +375,18 @@ class Namespace:
 
     def put(
         self, key: str, obj: Any, *, pin: bool = False,
-        skip_existing: bool = False,
+        skip_existing: bool = False, memory: bool = True,
     ) -> bool:
         """Store ``obj`` under ``key``; returns ``False`` when
         ``skip_existing`` suppressed an overwrite.
 
         The write is atomic (temp file + rename), so concurrent writers
         race harmlessly — both produce complete, verifiable entries and
-        the last rename wins.
+        the last rename wins.  ``memory=False`` writes a persisting
+        namespace's disk tier alone: the entry enters the memory tier
+        on its first :meth:`get` (or at once if an older value of the
+        key is in memory).  A namespace that does not persist keeps
+        every entry in memory.
         """
         _check_key(key)
         with self._lock:
@@ -401,8 +405,9 @@ class Namespace:
             payload = None
         self._count("puts")
         with self._lock:
-            self._remember(key, obj,
-                           len(payload) if payload is not None else 0)
+            if memory or not self.persist or key in self._lru:
+                self._remember(key, obj,
+                               len(payload) if payload is not None else 0)
             if self._recent_puts is not None:
                 self._recent_puts.append(key)
         if not self.persist:

@@ -55,7 +55,7 @@ from repro.core.kernels.conflict_free import (
 from repro.core.kernels.sorting import flat_bitonic_sort
 from repro.core.machines import run_flat_sum
 from repro.errors import ConfigurationError
-from repro.machine.engine import MachineEngine, reprice
+from repro.machine.engine import MachineEngine, launch_grid
 from repro.machine.hmm import HMMEngine
 from repro.machine.policy import DMMBankPolicy, UMMGroupPolicy
 from repro.machine.report import RunReport
@@ -114,21 +114,13 @@ class TuneTask:
     ) -> list[tuple[np.ndarray, RunReport]]:
         """``(output, report)`` at each latency of ``lats``.
 
-        Equal to one :meth:`run` per latency.  A launch that replay
-        priced from a stored trace, or captured into the store, is
-        re-priced at the next latency
-        (:func:`~repro.machine.engine.reprice`) instead of being built,
-        keyed and looked up again; any other launch (event, batch,
-        refused) is followed by a full launch at the next latency.
+        Equal to one :meth:`run` per latency, through
+        :func:`~repro.machine.engine.launch_grid`: a replayed or
+        captured launch is re-priced at the next latency instead of
+        being built, keyed and looked up again.
         """
-        runs = []
-        engine = None
-        for l in lats:
-            report = None if engine is None else reprice(engine, l)
-            if report is None:
-                out, report, engine = self.run_fn(config, shape, l, mode)
-            runs.append((out, report))
-        return runs
+        return launch_grid(
+            lambda l: self.run_fn(config, shape, l, mode), lats)
 
     def lower_bound(self, shape: dict, l: int) -> float | None:
         if self.lower_bound_fn is None:

@@ -10,6 +10,9 @@ plus every refusal path: non-oblivious kernels, unkeyable programs,
 capture overflow, and the cross-input obliviousness self-check.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -269,6 +272,59 @@ class TestObliviousnessSelfCheck:
         stats = default_store().metrics["trace_store"]
         assert stats["flagged_programs"] == 0
         assert stats["captures"] == 2  # distinct data → distinct full keys
+
+
+class TestTraceMemoryTier:
+    """A capture waits on disk for its first lookup; an evicted trace
+    is freed by reference counting alone."""
+
+    def _sum(self, latency, values=X256):
+        m = DMM(MachineParams(width=4, latency=latency), mode="replay",
+                backend="python")
+        return m.sum(values, 32)[1]
+
+    def test_capture_enters_memory_on_first_lookup(self):
+        assert self._sum(5).engine == "replay-capture"
+        store = default_store()
+        stats = store.metrics["trace_store"]
+        assert (stats["entries_disk"], stats["entries_memory"]) == (1, 0)
+        assert self._sum(9).engine == "replay"
+        assert self._sum(13).engine == "replay"
+        tiers = store.store_namespace.metrics
+        assert tiers["store.trace.hits_disk"] == 1
+        assert tiers["store.trace.hits_memory"] == 1
+        assert store.metrics["trace_store.entries_memory"] == 1
+
+    def test_memory_only_store_keeps_the_capture(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_TRACE", "off")
+        reset_default_store()
+        assert self._sum(5).engine == "replay-capture"
+        store = default_store()
+        stats = store.metrics["trace_store"]
+        assert (stats["entries_disk"], stats["entries_memory"]) == (0, 1)
+        assert self._sum(9).engine == "replay"
+        assert store.store_namespace.metrics["store.trace.hits_memory"] == 1
+
+    def test_evicted_trace_is_freed_without_a_collection(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_TRACE_LRU", "1")
+        reset_default_store()
+        store = default_store()
+        namespace = store.store_namespace
+        gc.collect()
+        gc.disable()
+        try:
+            self._sum(5)
+            self._sum(9)  # disk hit: decoded, priced, kept in memory
+            key, = namespace.keys()
+            ref = weakref.ref(namespace.get_memory(key))
+            assert ref() is not None and ref()._evaluator is not None
+            other = X256[::-1].copy()
+            self._sum(5, other)
+            assert self._sum(9, other).engine == "replay"  # evicts key
+            assert namespace.get_memory(key) is None
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTraceStorePersistence:

@@ -1,16 +1,23 @@
-"""The client-side exchange behind the asyncio client and the router's
+"""The HTTP framing both front doors and the clients share.
+
+Client side, the exchange behind the asyncio client and the router's
 relay: one deadline bounds the whole response read, and malformed
-response framing is a broken transport."""
+response framing is a broken transport.  Server side, the request
+reader behind the shard server and the router: a malformed
+``Content-Length`` gets a 400, never a dropped connection."""
 
 import asyncio
 import json
+import socket
 import time
 
 import pytest
 
 from repro.cluster.router import ClusterRouter
+from repro.cluster.supervisor import BackgroundRouter
 from repro.service.client import AsyncServiceClient, Unavailable
 from repro.service.http import MalformedResponse, exchange
+from repro.service.server import BackgroundServer
 
 #: Responses whose framing no client can read.
 MALFORMED = {
@@ -162,3 +169,49 @@ def test_router_reroutes_past_a_shard_answering_garbage():
     assert (bad_seen, good_seen) == (1, 1)
     assert metrics["shard_failures"] == 1
     assert metrics["reroutes"] == 1
+
+
+#: ``Content-Length`` values that are not ASCII digits, each of which
+#: ``int()`` alone would accept or turn into a negative read size.
+BAD_LENGTHS = {
+    "negative": "-1",
+    "signed": "+2",
+    "underscore": "1_0",
+    "non-ascii-digit": "\u00b2",
+    "word": "abc",
+}
+
+
+def _post_with_length(url: str, length: str) -> bytes:
+    """Everything a front door sends back to one ``POST /v1/cost`` whose
+    ``Content-Length`` header is ``length``, up to the close."""
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(
+            b"POST /v1/cost HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + length.encode("latin-1") + b"\r\n\r\n{}")
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return data
+
+
+def _assert_bad_content_length(reply: bytes) -> None:
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), reply
+    assert json.loads(body)["error"]["code"] == "bad_content_length"
+
+
+@pytest.mark.parametrize("length", BAD_LENGTHS.values(),
+                         ids=BAD_LENGTHS.keys())
+class TestRequestContentLength:
+    def test_server_answers_400(self, length):
+        with BackgroundServer(cache=False, telemetry=False) as srv:
+            _assert_bad_content_length(_post_with_length(srv.url, length))
+
+    def test_router_answers_400(self, length):
+        # The request is rejected while it is read, before any routing:
+        # no shard needs to be up.
+        with BackgroundRouter(["http://127.0.0.1:9"],
+                              health_interval_s=3600.0) as router:
+            _assert_bad_content_length(_post_with_length(router.url, length))

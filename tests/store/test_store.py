@@ -202,6 +202,36 @@ class TestEvictionAndPinning:
         assert ns.get(k0) is None
 
 
+class TestDiskOnlyPut:
+    """``put(memory=False)``: the entry waits on disk for its first get."""
+
+    def test_entry_enters_memory_on_first_get(self, store):
+        ns = store.namespace("sweep", max_memory_entries=1)
+        k0, k1 = _keys(2)
+        ns.put(k0, {"i": 0})
+        ns.put(k1, {"i": 1}, memory=False)
+        assert ns.contains(k1) and ns.get_memory(k1) is None
+        # The disk-only put evicted nothing from memory.
+        assert ns.get_memory(k0) == {"i": 0}
+        assert ns.metrics["store.sweep.evictions_memory"] == 0
+        assert ns.get(k1) == {"i": 1}
+        assert ns.metrics["store.sweep.hits_disk"] == 1
+        assert ns.get_memory(k1) == {"i": 1}
+
+    def test_replaces_an_older_value_in_memory(self, store):
+        ns = store.namespace("sweep")
+        key, = _keys(1)
+        ns.put(key, {"i": 0})
+        ns.put(key, {"i": 1}, memory=False)
+        assert ns.get_memory(key) == {"i": 1}
+
+    def test_memory_only_namespace_keeps_the_entry(self, store):
+        ns = store.namespace("sweep", persist=False)
+        key, = _keys(1)
+        ns.put(key, {"i": 0}, memory=False)
+        assert ns.get_memory(key) == {"i": 0}
+
+
 class TestConcurrentWriters:
     """Two processes writing the same directory never corrupt it."""
 

@@ -75,11 +75,9 @@ def _capture_trace():
     """Capture one HMM sum trace and return the stored object."""
     params = HMMParams(**PARAMS)
     HMM(params, mode="replay").sum(VALUES, NUM_THREADS)  # capture
-    HMM(params, mode="replay").sum(VALUES, NUM_THREADS)  # hit: register key
-    store = default_store()
-    fulls = [k for keys in store._keys_by_struct.values() for k in keys]
-    assert fulls, "trace capture did not land in the store"
-    return store._ns.get(fulls[0])
+    traces = [trace for _, trace in default_store().store_namespace.scan()]
+    assert traces, "trace capture did not land in the store"
+    return traces[0]
 
 
 def _sweep_kwargs(n_units, latency):

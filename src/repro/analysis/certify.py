@@ -1,7 +1,7 @@
 """Machine-checked obliviousness / conflict-freedom certificates.
 
-The tuner's ``certificate: "conflict-free"`` early exit and the replay
-engine's eligibility registry both rest on two claims about a kernel:
+The tuner's ``certificate: "conflict-free"`` early exit rests on two
+claims about a kernel:
 
 1. **Obliviousness** — its access stream (the sequence of transactions,
    their addresses, lane masks and barriers) does not depend on the
@@ -21,9 +21,11 @@ and audits every recorded transaction against the slot floor with
 ``certified`` only when all signatures are byte-identical *and* the
 avoidable excess is zero.
 
-The checker is deliberately independent of the replay registry — it
-re-derives both properties from the recorded transactions, so it also
-guards the registry itself (see ``tests/machine/test_replay_registry``).
+Obliviousness here is a cross-input property of a kernel.  Replay
+needs less and checks it per launch: a capture is stored only when no
+two warps race on an address inside a barrier epoch
+(:meth:`repro.machine.replay.CompiledTrace.race_free`), because the
+launch key already pins the input.
 """
 
 from __future__ import annotations
@@ -200,8 +202,8 @@ def certify_launch(
     all input data from ``rng``, and execute the launch with ``trace``
     attached.  The checker calls it ``runs`` times with independently
     seeded generators; the launch shape must stay fixed while the data
-    varies — that is exactly the obliviousness contract replay relies
-    on.
+    varies — the obliviousness contract a tuner certificate claims
+    for every input of the shape.
 
     ``width`` is the machine width the slot floor is computed against
     (for the HMM, shared and global units share one ``w``).

@@ -2,10 +2,10 @@
 
 The naive kernels in :mod:`~repro.core.kernels.sorting`,
 :mod:`~repro.core.kernels.merge` and
-:mod:`~repro.core.kernels.permutation` are registered in
-:data:`~repro.machine.replay.NON_OBLIVIOUS_MODULES` and always refuse
-trace replay, so every sweep point re-runs the full event scheduler.
-This module implements the input-independent constructions from the
+:mod:`~repro.core.kernels.permutation` schedule their accesses from
+the data, so a captured trace of one of them is valid for its own
+input only.  This module implements the input-independent
+constructions from the
 bank-conflict-free line of work — Sitchinava & Weichert, *Bank Conflict
 Free Comparison-based Sorting On GPUs*, and Afshani & Sitchinava,
 *Sorting and Permuting without Bank Conflicts on GPUs* (both in
@@ -17,10 +17,10 @@ That buys three things at once:
    (UMM): ``slots == ceil(#addresses / w)`` for every transaction, the
    information-theoretic floor.  The trace-level checker in
    :mod:`repro.analysis.certify` verifies this machine-checked.
-2. **Replay eligibility.**  Because the addresses never depend on the
-   stored values, the compiled trace of one instrumented run re-prices
-   any latency/policy — the module is deliberately *not* listed in the
-   replay refusal registry (a test pins this).
+2. **Replay for every input.**  Because the addresses never depend on
+   the stored values, the compiled trace of one instrumented run
+   re-prices any latency/policy, and every input of a shape produces
+   that same trace (the :mod:`repro.analysis.certify` pass checks it).
 3. **Tuner certificates.**  A conflict-free run is a
    ``certificate: "conflict-free"`` early exit for the autotuner.
 
@@ -53,8 +53,8 @@ to **arbitrary sizes and DMM/HMM widths**: when ``w`` does not divide
 completed to ``ceil(n/w)``-regular with virtual fixed points, which the
 kernel masks off lane-wise.  Because the permutation is *offline* —
 ``pi`` and its schedule are part of the launch closure, hashed into the
-LaunchKey — the kernel is replay-eligible even though its addresses
-depend on ``pi``.
+replay launch key — the kernel is replay-eligible even though its
+addresses depend on ``pi``.
 """
 
 from __future__ import annotations
@@ -427,9 +427,9 @@ def flat_cf_merge(
     """Merge two sorted arrays obliviously and conflict-free.
 
     Unlike :func:`~repro.core.kernels.merge.flat_merge` (merge-path:
-    data-dependent diagonal searches, replay-refused), the bitonic
+    data-dependent diagonal searches, one trace per input), the bitonic
     merger's addresses depend only on the sizes — the trade is
-    ``O(n log n)`` comparator work for replay eligibility and zero
+    ``O(n log n)`` comparator work for one trace per shape and zero
     conflicts.
     """
     _require_power_of_two_width(engine.params.width)
@@ -562,7 +562,7 @@ def oblivious_permutation_kernel(
     :func:`generalized_permutation_schedule` or
     :func:`generalized_naive_schedule`; entries ``>= len(perm)`` are
     virtual and mask their lane off.  The permutation and schedule are
-    launch-closure data (hashed into the LaunchKey), so the trace is
+    launch-closure data (hashed into the replay launch key), so the trace is
     input-independent and replay-eligible — the *offline* in "offline
     permutation".
     """

@@ -349,7 +349,7 @@ def _print_cache_stats(replay: bool) -> None:
               f"session: {t['hits']} hits ({tiers['hits_memory']} mem, "
               f"{tiers['hits_disk']} disk) / {t['misses']} misses, "
               f"{t['captures']} captures, {t['refusals']} refusals, "
-              f"{t['flagged_programs']} flagged non-oblivious")
+              f"{t['flagged_programs']} refused as racy")
 
 
 if __name__ == "__main__":

@@ -72,9 +72,10 @@ def run_launch(
     time unit 0, then the evaluator is picked:
 
     * ``mode="replay"`` without a recorder → :func:`replay_launch`:
-      a trace-store hit (tag ``"replay"``), a capture
-      (``"replay-capture"``) or a refusal (``"replay-refused"``, which
-      runs on the event scheduler);
+      a trace-store hit (tag ``"replay"``), a race-free capture
+      (``"replay-capture"``) or a refusal (``"replay-refused"``: a
+      racy capture keeps its own run; an unkeyable program or an
+      overflowed capture runs on the event scheduler);
     * ``mode="batch"`` without a recorder under FIFO dispatch →
       :class:`BatchCostEngine` (``"batch"``); on :class:`BatchFallback`
       memory and units roll back and the launch runs on the event
@@ -84,7 +85,7 @@ def run_launch(
     Each attempt instantiates fresh generators from ``program``, so a
     launch finished by the event scheduler is exact.  The report lists
     the first unit always and the others only when they saw traffic.
-    A replay hit or accepted capture leaves its trace on the engine for
+    A replay hit or stored capture leaves its trace on the engine for
     :func:`reprice`.
     """
     mode = engine.mode if mode is None else resolve_mode(mode)
@@ -125,12 +126,12 @@ def reprice(engine, latency: int) -> RunReport | None:
     ``units[0]`` is the flat machine's unit or the HMM's global unit;
     the other units keep their latency, and every unit its policy and
     pipelining.  The launch must have been a replay hit or a capture
-    the trace store accepted: its trace is priced again, which is what
+    the trace store kept: its trace is priced again, which is what
     a replay launch at ``latency`` would do after keying the launch
     and finding that trace, so the report (tag ``"replay"``) is
     bit-identical to an event run at ``latency``.  Reads no memory and
-    changes no unit.  ``None`` after an event, batch, refused or
-    rejected launch.
+    changes no unit.  ``None`` after an event, batch or refused
+    launch.
     """
     if latency < 1:
         raise ConfigurationError(f"latency must be >= 1, got {latency}")

@@ -47,17 +47,15 @@ Pieces
 Safety
 ------
 
-Replay is only sound when the operation trace is data-independent.  Two
-guards enforce this:
-
-* kernels known to be data-dependent (sorting/merging/BFS branches,
-  value-indexed scatters/gathers) are registered in
-  :data:`NON_OBLIVIOUS_MODULES` (or marked with :func:`non_oblivious`)
-  and always refuse replay, falling back to the event engine;
-* an obliviousness self-check: when the same program+shape is captured
-  under *different* input data, the two traces' structural signatures
-  must match; a mismatch flags the program, evicts its traces, and
-  refuses replay from then on.
+A stored trace may be re-priced at any ``(l, policy, pipelined,
+dispatch)`` exactly when no schedule can change what a warp reads or
+what memory ends up holding: no two warps touch one address inside a
+barrier epoch with at least one of them writing.  Every capture proves
+or refutes this for its own launch (:meth:`CompiledTrace.race_free`).
+A race-free capture is stored; a racy one keeps its own result, which
+already is the exact event run, and is counted as a refusal and as a
+flagged capture.  The launch key hashes the memory pre-state, so a
+certificate covers exactly the launches that hit its trace.
 
 Programs whose closures contain objects the keyer cannot canonically
 hash also refuse replay (a wrong cache hit would be silent corruption;
@@ -103,15 +101,11 @@ from repro.machine.warp import WarpContext
 
 __all__ = [
     "CompiledTrace",
-    "LaunchKey",
-    "NON_OBLIVIOUS_MODULES",
     "ReplayCostEvaluator",
     "TraceCompiler",
     "TraceStore",
     "default_store",
     "derive_launch_key",
-    "is_replay_oblivious",
-    "non_oblivious",
     "price_trace",
     "replay_launch",
     "reset_default_store",
@@ -124,55 +118,9 @@ _DEFAULT_LRU_ENTRIES = 64
 _DEFAULT_CAPTURE_LIMIT = 1 << 21
 
 #: Operation codes of the compiled stream.
-_OP_MEM, _OP_COMPUTE, _OP_BARRIER = 0, 1, 2
+_OP_MEM, _OP_COMPUTE, _OP_BARRIER, _OP_MASKED = 0, 1, 2, 3
 #: Barrier scope codes (``op_arg`` of a barrier op).
 _SCOPE_DMM, _SCOPE_DEVICE = 0, 1
-
-#: Kernel modules whose operation traces depend on input *values* —
-#: data-driven branches, value-indexed scatters/gathers, host-side
-#: value-dependent partitions.  Launch programs defined in these modules
-#: always refuse replay.  The registry is deliberately conservative:
-#: a refused kernel still evaluates exactly (on the event engine); a
-#: wrongly replayed one would be silently mispriced.
-NON_OBLIVIOUS_MODULES = frozenset(
-    {
-        "repro.core.kernels.bfs",
-        "repro.core.kernels.compaction",
-        "repro.core.kernels.histogram",
-        "repro.core.kernels.merge",
-        "repro.core.kernels.permutation",
-        "repro.core.kernels.sorting",
-        "repro.core.kernels.spmv",
-        "repro.tuner.datadep",
-    }
-)
-
-
-def non_oblivious(fn: Callable) -> Callable:
-    """Mark a warp program (or program factory) as data-dependent.
-
-    Marked programs always refuse trace replay and run on the event
-    engine.  Apply it to kernels whose yielded addresses, lane masks, or
-    operation sequence depend on the values stored in machine memory.
-    """
-    fn._replay_oblivious = False
-    return fn
-
-
-def is_replay_oblivious(program: Callable) -> bool:
-    """May ``program``'s trace be replayed for different ``l`` / policy?
-
-    An explicit ``_replay_oblivious`` attribute (see
-    :func:`non_oblivious`) wins; otherwise programs defined in a module
-    listed in :data:`NON_OBLIVIOUS_MODULES` are refused and everything
-    else is presumed oblivious — guarded at capture time by the trace
-    store's cross-input signature check.
-    """
-    flag = getattr(program, "_replay_oblivious", None)
-    if flag is not None:
-        return bool(flag)
-    return getattr(program, "__module__", None) not in NON_OBLIVIOUS_MODULES
-
 
 # ---------------------------------------------------------------------------
 # Launch keying: canonical content hash of (program, shape, memory state).
@@ -181,21 +129,6 @@ def is_replay_oblivious(program: Callable) -> bool:
 
 class _Unkeyable(Exception):
     """A closure/default value has no canonical content encoding."""
-
-
-@dataclass(frozen=True)
-class LaunchKey:
-    """The three digests that key a captured launch.
-
-    ``full`` keys the trace store.  ``struct`` identifies the program and
-    launch shape *without* the input data — the obliviousness self-check
-    compares trace signatures across entries sharing a ``struct``.
-    ``data`` is the memory pre-state digest distinguishing them.
-    """
-
-    full: str
-    struct: str
-    data: str
 
 
 _MAX_KEY_DEPTH = 16
@@ -334,34 +267,29 @@ def derive_launch_key(
     contexts: Sequence[WarpContext],
     spaces: Sequence[MemorySpace],
     fingerprint: str,
-) -> LaunchKey | None:
-    """Content key of one launch, or ``None`` when replay must refuse.
+) -> str | None:
+    """Content key (hex digest) of one launch, or ``None`` when the
+    program cannot be keyed and replay must refuse.
 
-    The key covers everything the *operation trace* of an oblivious
-    program depends on: the program itself (bytecode, defaults, closure
+    The key covers everything the *operation trace* of a race-free
+    launch depends on: the program itself (bytecode, defaults, closure
     values — including :class:`ArrayHandle` placements), the warp/DMM
-    partition, the machine kind and width, and the full memory pre-state.
-    It deliberately excludes latency, slot policy, pipelining, and
-    dispatch order — the replay-time parameters.
+    partition, the machine kind and width, and the full memory
+    pre-state.  It deliberately excludes latency, slot policy,
+    pipelining, and dispatch order — the replay-time parameters.
     """
-    if not is_replay_oblivious(program):
-        return None
     h = hashlib.sha256()
-    h.update(f"trace-v1|{fingerprint}|{machine}|{width}|".encode())
+    h.update(f"trace-v2|{fingerprint}|{machine}|{width}|".encode())
     for ctx in contexts:
         h.update(f"{ctx.warp_id},{ctx.dmm_id},{ctx.tids.size};".encode())
     try:
         _feed_function(h, program, set(), walk_globals=True)
     except _Unkeyable:
         return None
-    struct = h.hexdigest()
-    dh = hashlib.sha256()
     for space in spaces:
-        dh.update(f"{space.name}|{space.space_id!r}|{space.used}|".encode())
-        dh.update(space.state().tobytes())
-    data = dh.hexdigest()
-    full = hashlib.sha256(f"{struct}:{data}".encode()).hexdigest()
-    return LaunchKey(full=full, struct=struct, data=data)
+        h.update(f"{space.name}|{space.space_id!r}|{space.used}|".encode())
+        h.update(space.state().tobytes())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +343,14 @@ class TraceCompiler(TraceRecorder):
         self._kind.append(_OP_COMPUTE)
         self._unit.append(-1)
         self._arg.append(int(cycles))
+        self._read.append(0)
+        self._req.append(0)
+
+    def record_masked(self, ctx) -> None:
+        self._warp.append(ctx.warp_id)
+        self._kind.append(_OP_MASKED)
+        self._unit.append(-1)
+        self._arg.append(0)
         self._read.append(0)
         self._req.append(0)
 
@@ -495,7 +431,8 @@ class CompiledTrace:
     The ``i``-th entry of the ``op_*`` arrays describes the ``i``-th
     operation in global capture (dispatch) order; restricting to one
     warp id yields that warp's program-order stream.  ``op_kind`` is 0
-    (memory), 1 (compute), or 2 (barrier arrival); ``op_arg`` carries
+    (memory), 1 (compute), 2 (barrier arrival) or 3 (a fully-masked
+    memory op: no cost, one dispatch turn); ``op_arg`` carries
     the kind-specific integer (post-transaction compute / compute
     cycles / barrier scope).  Memory ops own the address slice
     ``addresses[addr_off[i]:addr_off[i+1]]`` — raw per-lane addresses,
@@ -527,41 +464,71 @@ class CompiledTrace:
         """Raw lane addresses of memory op ``i`` (a view)."""
         return self.addresses[self.addr_off[i] : self.addr_off[i + 1]]
 
-    # -- identity ----------------------------------------------------------
-    def signature(self) -> str:
-        """Digest of the trace *structure* (ops + addresses, not values).
+    # -- soundness ---------------------------------------------------------
+    def race_free(self) -> bool:
+        """May this trace be re-priced under any schedule?
 
-        Each warp's ops and lane addresses are digested in that warp's
-        program order, not in global dispatch order, as
-        :func:`repro.analysis.certify.trace_signature` does: the
-        cross-warp interleaving is a scheduling artifact that shifts
-        with the latency and the dispatch policy, while each warp's own
-        stream is what the kernel determines.  Two captures of an
-        oblivious program under different input data, at any latency,
-        produce equal signatures; the trace store enforces this.
+        ``False`` when two warps touch one address of one unit inside a
+        barrier epoch and at least one of them writes.  Epochs are
+        counted per warp, in that warp's program order: an access after
+        a warp's ``k``-th device barrier is in device epoch ``k``, and
+        likewise for its DMM's barriers.  Two accesses in one device
+        epoch are ordered only when their warps share a DMM and sit in
+        different DMM epochs.  A race-free launch reads the same values
+        and leaves the same memory under every latency, policy and
+        dispatch order, so its trace is that of any of them; this is
+        the check :meth:`repro.machine.trace.TraceRecorder.detect_races`
+        makes on one recorded run, vectorized.
         """
-        h = hashlib.sha256()
-        core = {
-            k: self.meta[k]
-            for k in (
-                "machine", "width", "num_threads",
-                "warp_ids", "warp_dmms", "unit_names",
-            )
-        }
-        h.update(json.dumps(core, sort_keys=True).encode())
+        sizes = np.diff(self.addr_off)
+        if not sizes.any():
+            return True
+        # Per-warp barrier counts: a stable sort by warp lists each
+        # warp's ops in program order; count within each warp's run.
         order = np.argsort(self.op_warp, kind="stable")
-        for arr in (
-            self.op_warp, self.op_kind, self.op_unit, self.op_arg,
-            self.op_read, self.op_req,
-        ):
-            h.update(np.ascontiguousarray(arr[order]).tobytes())
-        # Each op's address slice, in the same per-warp order.
-        starts = self.addr_off[:-1][order]
-        sizes = self.addr_off[1:][order] - starts
-        gather = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) \
-            + np.arange(int(sizes.sum()), dtype=np.int64)
-        h.update(np.ascontiguousarray(self.addresses[gather]).tobytes())
-        return h.hexdigest()
+        warp_sorted = self.op_warp[order]
+        first = np.flatnonzero(
+            np.concatenate(([True], warp_sorted[1:] != warp_sorted[:-1])))
+        run_len = np.diff(np.append(first, order.size))
+        barrier = self.op_kind[order] == _OP_BARRIER
+        scope = self.op_arg[order]
+        epochs = []
+        for code in (_SCOPE_DEVICE, _SCOPE_DMM):
+            seen = np.concatenate(([0], np.cumsum(barrier & (scope == code))))
+            count = np.empty(order.size, dtype=np.int64)
+            count[order] = seen[1:] - np.repeat(seen[first], run_len)
+            epochs.append(count)
+        device, dmm_epoch = epochs
+        ids = np.asarray(self.meta["warp_ids"], dtype=np.int64)
+        dmm_of = np.zeros(int(ids.max()) + 1, dtype=np.int64)
+        dmm_of[ids] = self.meta["warp_dmms"]
+        # One entry per lane: sort by (unit, device epoch, address), then
+        # by (DMM, DMM epoch) and warp within each cell.
+        warp = np.repeat(self.op_warp.astype(np.int64), sizes)
+        dmm = dmm_of[warp]
+        sync = dmm * (int(dmm_epoch.max()) + 1) + np.repeat(dmm_epoch, sizes)
+        cell = np.repeat(
+            self.op_unit.astype(np.int64) * (int(device.max()) + 1) + device,
+            sizes,
+        )
+        write = np.repeat(self.op_read == 0, sizes)
+        o = np.lexsort((warp, sync, self.addresses, cell))
+        cell, address, sync, dmm, warp, write = (
+            x[o] for x in (cell, self.addresses, sync, dmm, warp, write))
+        same_cell = (cell[1:] == cell[:-1]) & (address[1:] == address[:-1])
+        same_sync = same_cell & (sync[1:] == sync[:-1])
+
+        def racy(same: np.ndarray, who: np.ndarray) -> bool:
+            """Does a run of equal keys, sorted by ``who``, hold a write
+            and two ``who``?"""
+            run = np.concatenate(([0], np.cumsum(~same)))
+            written = np.zeros(int(run[-1]) + 1, dtype=bool)
+            written[run[write]] = True
+            return bool(written[run[1:][same & (who[1:] != who[:-1])]].any())
+
+        # A written cell races when two DMMs touch it, or two warps of
+        # one DMM in one DMM epoch.
+        return not (racy(same_cell, dmm) or racy(same_sync, warp))
 
     def evaluator(self) -> "ReplayCostEvaluator":
         """The (cached) evaluator decoding this trace."""
@@ -1090,6 +1057,9 @@ class ReplayCostEvaluator:
                     makespan = nr
                 heapq.heappush(heap, (nr, wid))
                 in_heap.add(wid)
+            elif k == _OP_MASKED:
+                heapq.heappush(heap, (t, wid))
+                in_heap.add(wid)
             else:  # barrier arrival: wait for the group
                 gkey = (
                     device_key
@@ -1166,18 +1136,15 @@ _TRACE_CODEC = _TraceCodec()
 
 
 class TraceStore:
-    """Keyed storage of compiled traces with an obliviousness guard.
+    """Keyed storage of race-free compiled traces.
 
     Storage is the ``trace`` namespace of the unified artifact store
     (:mod:`repro.store`): lookups hit its in-memory LRU first, then the
     on-disk directory (shared across processes — sweep workers capture
     once, everyone replays), with envelope integrity verification and
     quarantine of corrupt entries.  A persisted capture enters the LRU
-    on its first lookup, not when stored.  :meth:`insert` runs the
-    cross-input self-check: two captures sharing a ``struct`` key (same
-    program + shape) but with different input data must have identical
-    trace signatures, or the program is flagged non-oblivious, its
-    traces evicted, and replay refused from then on.
+    on its first lookup, not when stored.  :func:`replay_launch` stores
+    only captures whose :meth:`CompiledTrace.race_free` holds.
     """
 
     def __init__(
@@ -1219,14 +1186,12 @@ class TraceStore:
             max_memory_entries=self.max_entries,
             max_memory_bytes=None,  # entry-count LRU, as before
         )
-        self._struct_sig: dict[str, tuple[str, str]] = {}
-        self._keys_by_struct: dict[str, set[str]] = {}
-        self._flagged: set[str] = set()
-        #: This store's ``trace_store.*`` section: captures and
-        #: refusals counted here; hits, misses and contents read from
-        #: the namespace.
+        #: This store's ``trace_store.*`` section: captures, refusals
+        #: and racy captures (``flagged_programs``) counted here; hits,
+        #: misses and contents read from the namespace.
         self.metrics = Registry()
-        self.metrics.declare("trace_store.captures", "trace_store.refusals")
+        self.metrics.declare("trace_store.captures", "trace_store.refusals",
+                             "trace_store.flagged_programs")
         self.metrics.set("trace_store", self._section)
 
     # -- the storage substrate ---------------------------------------------
@@ -1235,50 +1200,21 @@ class TraceStore:
         """The underlying :class:`repro.store.Namespace`."""
         return self._ns
 
-    # -- guard -------------------------------------------------------------
-    def flagged(self, struct: str) -> bool:
-        """Has the self-check branded this program+shape non-oblivious?"""
-        return struct in self._flagged
-
+    # -- access ------------------------------------------------------------
     def note_refusal(self) -> None:
-        """Count one launch that refused replay (fell back to event)."""
+        """Count one launch that refused replay."""
         self.metrics.inc("trace_store.refusals")
 
-    def _flag(self, struct: str) -> None:
-        self._flagged.add(struct)
-        for key in self._keys_by_struct.pop(struct, set()):
-            self._ns.delete(key)
-        self._struct_sig.pop(struct, None)
-
-    # -- access ------------------------------------------------------------
-    def lookup(self, key: LaunchKey) -> CompiledTrace | None:
+    def lookup(self, key: str) -> CompiledTrace | None:
         """The stored trace for ``key``, or ``None`` (counted as a miss)."""
-        trace = self._ns.get(key.full)
-        if trace is None:
-            return None
-        self._keys_by_struct.setdefault(key.struct, set()).add(key.full)
-        return trace
+        return self._ns.get(key)
 
-    def insert(self, key: LaunchKey, trace: CompiledTrace) -> bool:
-        """Store a fresh capture; ``False`` if the self-check rejects it.
-
-        Rejection means the program produced structurally different
-        traces for different input data — it is not oblivious, and
-        neither this nor any previously stored trace for it may be
-        replayed.
-        """
-        signature = trace.signature()
-        prev = self._struct_sig.get(key.struct)
-        if prev is not None and prev[0] != key.data and prev[1] != signature:
-            self._flag(key.struct)
-            return False
-        self._struct_sig[key.struct] = (key.data, signature)
-        self._keys_by_struct.setdefault(key.struct, set()).add(key.full)
+    def insert(self, key: str, trace: CompiledTrace) -> None:
+        """Store a race-free capture."""
         # The capturing launch holds the trace for re-pricing; memory
         # keeps it only once a later launch looks it up.
-        self._ns.put(key.full, trace, memory=False)
+        self._ns.put(key, trace, memory=False)
         self.metrics.inc("trace_store.captures")
-        return True
 
     # -- observability -----------------------------------------------------
     def _section(self) -> dict:
@@ -1288,18 +1224,14 @@ class TraceStore:
             "hits": hits,
             "misses": ns["misses"],
             "hit_rate": hit_rate(hits, ns["misses"]),
-            "flagged_programs": len(self._flagged),
             "entries_memory": ns["entries_memory"],
             "entries_disk": ns["entries_disk"],
             "size_bytes": ns["disk_bytes"],
         }
 
     def clear(self) -> None:
-        """Drop every stored trace (memory and disk) and all flags."""
+        """Drop every stored trace (memory and disk)."""
         self._ns.clear()
-        self._struct_sig.clear()
-        self._keys_by_struct.clear()
-        self._flagged.clear()
 
 
 _default_store: TraceStore | None = None
@@ -1362,16 +1294,17 @@ def replay_launch(
       post-run memory state, tag ``"replay"`` (``stats`` holds the
       per-unit statistics; the engine's own units saw no traffic);
     * miss → one instrumented event run captures the trace (undo-logged:
-      a capture-cap overflow rolls back and counts as a refusal), stores
-      it, tag ``"replay-capture"`` (``stats is None`` — the engine's
-      units observed the run);
-    * refusal (non-oblivious / unkeyable / flagged / overflow) →
+      a capture-cap overflow rolls back and counts as a refusal); a
+      race-free capture is stored, tag ``"replay-capture"``; a racy one
+      is not, tag ``"replay-refused"``, and counts as a refusal and a
+      flagged capture.  Either way the capture run is the launch's
+      event run (``stats is None`` — the engine's units observed it);
+    * refusal before any run (unkeyable program / overflow) →
       ``result is None``, tag ``"replay-refused"``: the caller runs the
       launch on the event scheduler.
 
-    ``trace`` is the trace a hit priced or a capture the store accepted,
-    which prices this launch at any other latency; ``None`` after a
-    refusal or a capture the self-check rejected.
+    ``trace`` is the trace a hit priced or a race-free capture stored,
+    which prices this launch at any other latency; ``None`` otherwise.
     """
     store = default_store()
     width = engine.params.width
@@ -1384,7 +1317,7 @@ def replay_launch(
         spaces=spaces,
         fingerprint=store.fingerprint,
     )
-    if key is None or store.flagged(key.struct):
+    if key is None:
         store.note_refusal()
         return None, None, "replay-refused", None
 
@@ -1421,5 +1354,9 @@ def replay_launch(
         post_state={space.name: space.state() for space in spaces},
         fingerprint=store.fingerprint,
     )
-    accepted = store.insert(key, trace)
-    return result, None, "replay-capture", trace if accepted else None
+    if not trace.race_free():
+        store.note_refusal()
+        store.metrics.inc("trace_store.flagged_programs")
+        return result, None, "replay-refused", None
+    store.insert(key, trace)
+    return result, None, "replay-capture", trace

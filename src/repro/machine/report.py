@@ -48,8 +48,9 @@ class RunReport:
         trace without executing the kernel), ``"replay-capture"``
         (replay mode missed the trace store; this event run captured
         the trace for future replays), or ``"replay-refused"`` (replay
-        mode declined — non-oblivious or uncacheable launch — and ran
-        on the event engine).  See ``docs/PERFORMANCE.md``.
+        mode declined — a racy capture, an unkeyable program or a
+        capture over the cap — and the numbers are an event run's).
+        See ``docs/PERFORMANCE.md``.
     """
 
     cycles: int

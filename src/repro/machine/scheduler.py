@@ -269,7 +269,10 @@ class Scheduler:
 
     def _dispatch_memory(self, ws: WarpState, op: MemoryOp) -> None:
         if op.num_requests == 0:
-            # Fully masked: warp not dispatched, costs nothing.
+            # Fully masked: costs nothing, but the warp took this
+            # dispatch turn (round-robin rotation moved past it).
+            if self._trace is not None:
+                self._trace.record_masked(ws.ctx)
             if isinstance(op, ReadOp):
                 ws.pending_send = np.zeros(ws.ctx.num_lanes, dtype=np.float64)
             return

@@ -18,11 +18,12 @@ bound.
 
 The recorder also defines the hook surface the scheduler drives:
 :meth:`TraceRecorder.record` (one memory transaction),
-:meth:`TraceRecorder.record_compute` (one warp compute step) and
+:meth:`TraceRecorder.record_compute` (one warp compute step),
+:meth:`TraceRecorder.record_masked` (one fully-masked memory op) and
 :meth:`TraceRecorder.record_arrival` (one warp reaching a barrier).  The
 base class stores transactions and barrier arrivals; the trace-replay
 compiler (:class:`repro.machine.replay.TraceCompiler`) overrides all
-three to capture complete per-warp operation streams.
+four to capture complete per-warp operation streams.
 """
 
 from __future__ import annotations
@@ -167,6 +168,11 @@ class TraceRecorder:
 
     def record_compute(self, ctx: "WarpContext", cycles: int) -> None:
         """One warp compute step (no-op here; replay capture overrides)."""
+
+    def record_masked(self, ctx: "WarpContext") -> None:
+        """One warp dispatching a fully-masked memory op: no transaction
+        and no cost, but a dispatch turn (no-op here; replay capture
+        overrides)."""
 
     def record_arrival(self, ctx: "WarpContext", scope: BarrierScope) -> None:
         """One warp arriving at a barrier.

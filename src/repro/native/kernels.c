@@ -153,7 +153,8 @@ static i64 rp_release(
  * (stream_ops[stream_off[x] .. stream_off[x+1]]); op kind 0 is a
  * memory transaction (op_arg = post-transaction compute), 1 a compute
  * op (op_arg = cycles), 2 a barrier (op_arg = scope; `scope_device`
- * marks device scope, anything else the warp's DMM group).
+ * marks device scope, anything else the warp's DMM group), 3 a
+ * fully-masked memory op (a dispatch turn at no cost).
  * warp_group[x] in [1, n_groups) names warp x's DMM barrier group;
  * group 0 is the device group.  Returns 0 on success. */
 i64 repro_replay_price(
@@ -328,6 +329,9 @@ i64 repro_replay_price(
             if (nr > makespan)
                 makespan = nr;
             heap_push(&heap, nr, w, ix);
+            in_heap[ix] = 1;
+        } else if (k == 3) {  /* fully-masked memory op: a turn, no cost */
+            heap_push(&heap, t, w, ix);
             in_heap[ix] = 1;
         } else {  /* barrier arrival */
             i64 g = op_arg[i] == scope_device ? 0 : warp_group[ix];

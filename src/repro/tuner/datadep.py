@@ -1,12 +1,13 @@
-"""A genuinely data-dependent demo kernel (replay must refuse it).
+"""A genuinely data-dependent demo kernel.
 
 The gather kernel reads its index vector from memory and then accesses
 ``a`` *at the values it just read* — the address stream depends on
-stored data, so a captured trace is only valid for one input and
-``mode="replay"`` would be unsound.  The module is therefore registered
-in :data:`repro.machine.replay.NON_OBLIVIOUS_MODULES`; the tuner
-detects that via ``is_replay_oblivious`` and falls back to the batch
-engine for this task.
+stored data, so a captured trace is valid for one input only.  Replay
+keys every launch by its memory pre-state, and no warp writes a cell
+another warp touches, so each launch is race-free and an explicit
+``mode="replay"`` replays it exactly.  The tuner's ``"auto"`` mode
+picks the batch engine for this task (``TuneTask.oblivious`` is
+``False``).
 """
 
 from __future__ import annotations

@@ -24,17 +24,16 @@ Tasks:
   occupancy rule) and warp dispatch policy.  Oblivious.
 * ``sort`` — flat DMM bitonic sort; axes: network (naive strided vs the
   Sitchinava-Weichert conflict-free block layout, transaction-for-
-  transaction identical) and dispatch.  The conflict-free network is
-  oblivious and replay-backed; naive candidates come from the
-  replay-refusing ``sorting`` module and fall back to the event engine.
+  transaction identical) and dispatch.  Both networks are race-free
+  and replay-backed; the conflict-free one is also oblivious.
 * ``permutation`` — flat DMM offline permutation with a
   bank-adversarial target; axes: round schedule (naive vs conflict-free
   matching) and dispatch.  The schedule is *offline* — part of the
-  launch closure, hashed into the LaunchKey — so both schedules are
+  launch closure, hashed into the replay launch key — so both schedules are
   replay-backed through the oblivious kernel in
   :mod:`repro.core.kernels.conflict_free`.
 * ``gather`` — data-dependent gather through an index array; axis:
-  thread count.  Registered in the replay refusal registry.
+  thread count.  Not oblivious, so ``"auto"`` picks batch.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ class TuneTask:
 
     name: str
     summary: str
-    #: Memory-access oblivious — ``mode="replay"`` is sound.
+    #: Memory-access oblivious: ``"auto"`` picks replay, else batch.
     oblivious: bool
     default_shape: dict
     space_fn: Callable[[dict], ParamSpace]

@@ -16,8 +16,9 @@ grid.  Mechanics:
   once, at its first uncached latency, and its trace is re-priced at
   the others (:meth:`~repro.tuner.demos.TuneTask.run_grid`), which is
   what makes wide searches cheap.
-  Non-oblivious tasks (see :data:`repro.machine.replay.NON_OBLIVIOUS_MODULES`)
-  fall back to the batch engine.
+  ``"auto"`` picks the batch engine for tasks not marked oblivious
+  (``gather``); an explicit ``mode="replay"`` replays any launch whose
+  capture is race-free and runs the others on the event engine.
 * **Early exit** — the search stops as soon as a candidate is
   *certified*: its run was conflict-free (no unit issued an avoidable
   slot) or its cost reached the task's Table II lower bound from

@@ -18,11 +18,8 @@ import pytest
 
 from repro.errors import ConfigurationError, KernelError
 from repro.machine.engine import reprice
-from repro.machine.replay import (
-    default_store,
-    non_oblivious,
-    reset_default_store,
-)
+from repro.machine.replay import default_store, reset_default_store
+from repro.machine.scheduler import Scheduler
 from repro.machine.trace import TraceRecorder
 
 from conftest import assert_reports_equal, make_dmm, make_hmm
@@ -99,15 +96,14 @@ def _early_exit_accumulate(a, b, scratch):
     return prog
 
 
-def _value_indexed(a, b, scratch):
-    """Reads ``a`` where the sign of its own values points: the
-    addresses, and so the trace, follow the input data."""
+def _racy(a, b, scratch):
+    """Every warp read-modify-writes ``b``'s first lanes with no barrier
+    in between: which warp's store lands last is up to the schedule."""
 
     def prog(warp):
         vals = yield warp.read(a, warp.tids)
-        idx = np.where(vals > 0, warp.tids, (3 * warp.tids) % NUM_THREADS)
-        got = yield warp.read(a, idx)
-        yield warp.write(b, warp.tids, got)
+        old = yield warp.read(b, warp.lanes)
+        yield warp.write(b, warp.lanes, old + vals)
 
     return prog
 
@@ -133,14 +129,12 @@ class Launch(NamedTuple):
     images: list
 
 
-def _launch(kind, mode, make_prog=_accumulate, *, mark=None, trace=None,
+def _launch(kind, mode, make_prog=_accumulate, *, trace=None,
             latency=5, engine_out=None):
     """Launch ``make_prog``'s program on a fresh engine (appended to
     ``engine_out`` when given)."""
     eng, a, b, scratch = _build(kind, mode, latency)
     prog = make_prog(a, b, scratch)
-    if mark is not None:
-        prog = mark(prog)
     report = eng.launch(prog, NUM_THREADS, trace=trace)
     if engine_out is not None:
         engine_out.append(eng)
@@ -183,11 +177,23 @@ class TestLaunchOutcomes:
         stats = default_store().metrics["trace_store"]
         assert stats["captures"] == 1 and stats["hits"] == 1
 
-    def test_refusal(self, kind):
-        _assert_matches(_launch(kind, "event"),
-                        _launch(kind, "replay", mark=non_oblivious),
+    def test_refusal(self, kind, monkeypatch):
+        """A racy capture is the launch's one event run."""
+        runs = []
+        real_run = Scheduler.run
+
+        def counted_run(self, warps):
+            runs.append(len(warps))
+            return real_run(self, warps)
+
+        monkeypatch.setattr(Scheduler, "run", counted_run)
+        expected = _launch(kind, "event", _racy)
+        _assert_matches(expected, _launch(kind, "replay", _racy),
                         "replay-refused")
-        assert default_store().metrics["trace_store.refusals"] == 1
+        assert len(runs) == 2  # the event launch and the capture
+        stats = default_store().metrics["trace_store"]
+        assert stats["refusals"] == stats["flagged_programs"] == 1
+        assert stats["captures"] == stats["entries_disk"] == 0
 
     def test_capture_overflow(self, kind, monkeypatch):
         expected = _launch(kind, "event")
@@ -270,7 +276,7 @@ class TestReprice:
         ("event", {}),
         ("batch", {}),
         ("batch", {"make_prog": _early_exit}),
-        ("replay", {"mark": non_oblivious}),
+        ("replay", {"make_prog": _racy}),
         ("replay", {"trace": "recorder"}),
     ], ids=["event", "batch", "batch-fallback", "refused", "recorder"])
     def test_none_after_a_launch_without_a_trace(self, kind, mode, kwargs):
@@ -290,20 +296,12 @@ class TestReprice:
         assert reprice(engines[0], 9) is None
 
     def test_none_after_a_rejected_capture(self, kind):
-        def launch(values):
-            eng, a, b, scratch = _build(kind, "replay")
-            a.set(values)
-            report = eng.launch(_value_indexed(a, b, scratch), NUM_THREADS)
-            return eng, report
-
-        accepted, report = launch(A)
-        assert report.engine == "replay-capture"
-        assert reprice(accepted, 9) is not None
-        # Other data, another trace: the self-check flags the program.
-        rejected, report = launch(-A)
-        assert report.engine == "replay-capture"
+        """A racy capture is not stored, so nothing is left to price."""
+        engines = []
+        run = _launch(kind, "replay", _racy, engine_out=engines)
+        assert run.report.engine == "replay-refused"
         assert default_store().metrics["trace_store.flagged_programs"] == 1
-        assert reprice(rejected, 9) is None
+        assert reprice(engines[0], 9) is None
 
     def test_a_new_launch_forgets_the_last_trace(self, kind):
         engines = []

@@ -1,13 +1,12 @@
 """Replay-mode equivalence: trace-compiled re-costing must be invisible.
 
-``mode="replay"`` promises *bit-identical* results to the event engine
-for memory-oblivious kernels: same cycles, same per-unit statistics,
-same memory effects — whether the launch was freshly captured
-(``engine == "replay-capture"``) or re-costed from a stored trace
-(``engine == "replay"``).  These tests pin that promise across flat and
-hierarchical machines, latencies, dispatch policies, and partial warps,
-plus every refusal path: non-oblivious kernels, unkeyable programs,
-capture overflow, and the cross-input obliviousness self-check.
+``mode="replay"`` promises *bit-identical* results to the event engine:
+same cycles, same per-unit statistics, same memory effects — whether
+the launch was freshly captured (``engine == "replay-capture"``) or
+re-costed from a stored trace (``engine == "replay"``).  These tests pin
+that promise across flat and hierarchical machines, latencies, dispatch
+policies, and partial warps, plus every refusal path: racy captures,
+unkeyable programs and capture overflow.
 """
 
 import gc
@@ -18,6 +17,7 @@ import pytest
 
 from repro import DMM, HMM, UMM, HMMParams, MachineParams
 from repro.errors import ConfigurationError, TraceOverflowError
+from repro.core.kernels.histogram import hmm_histogram_racy
 from repro.machine.engine import MachineEngine
 from repro.machine.policy import DMMBankPolicy
 from repro.machine.replay import (
@@ -25,8 +25,6 @@ from repro.machine.replay import (
     TraceCompiler,
     default_store,
     derive_launch_key,
-    is_replay_oblivious,
-    non_oblivious,
     reset_default_store,
 )
 from repro.machine.trace import TraceRecorder
@@ -166,21 +164,21 @@ class TestRefusals:
     """Every unsound case must fall back to the event engine, correctly."""
 
     def test_non_oblivious_kernel_refused(self):
-        m = HMM(HMMParams(num_dmms=4, width=8, global_latency=16),
-                mode="replay")
-        values = RNG.permutation(64).astype(float)
-        out, report = m.sort(values, 32)
-        np.testing.assert_array_equal(out, np.sort(values))
+        """A kernel whose trace depends on the schedule (the racy
+        histogram: warps read-modify-write shared bins) is refused, and
+        its capture run is the exact event run."""
+        params = HMMParams(num_dmms=4, width=8, global_latency=16)
+        values = RNG.integers(0, 4, 64).astype(float)
+        want, expected = hmm_histogram_racy(HMM(params).engine(), values,
+                                            4, 64)
+        got, report = hmm_histogram_racy(HMM(params, mode="replay").engine(),
+                                         values, 4, 64)
+        np.testing.assert_array_equal(got, want)
+        assert_reports_equal(expected, report)
         assert report.engine == "replay-refused"
         stats = default_store().metrics["trace_store"]
-        assert stats["refusals"] >= 1 and stats["captures"] == 0
-
-    def test_non_oblivious_decorator(self):
-        def looks_fine(warp):
-            yield warp.barrier()
-
-        assert is_replay_oblivious(looks_fine)
-        assert not is_replay_oblivious(non_oblivious(looks_fine))
+        assert stats["refusals"] == stats["flagged_programs"] == 1
+        assert stats["captures"] == 0
 
     def test_unkeyable_closure_refused(self):
         class Opaque:
@@ -235,35 +233,39 @@ class TestRefusals:
 
 
 class TestObliviousnessSelfCheck:
-    """Same program + shape, different data, different trace → flagged."""
+    """Soundness is per launch: new data is a new key, and each capture
+    is certified race-free or refused on its own."""
 
-    def _build(self, mode):
-        eng = MachineEngine(MP(width=4, latency=5), DMMBankPolicy(),
+    def _launch(self, mode, fill, latency=5):
+        eng = MachineEngine(MP(width=4, latency=latency), DMMBankPolicy(),
                             name="dmm", mode=mode)
-        a = eng.array_from(np.zeros(16), "a")
+        a = eng.array_from(fill, "a")
         out = eng.alloc(16, "out")
 
         def sneaky(warp):
             vals = yield warp.read(a, warp.tids)
-            # Data-dependent addressing: not declared non-oblivious.
+            # Data-dependent addressing: the values pick the cells.
             addrs = np.clip(vals.astype(np.int64), 0, 15)
             yield warp.write(out, addrs, 1.0)
 
-        return eng, a, sneaky
+        report = eng.launch(sneaky, 8)
+        return report, out.to_numpy()
 
-    def test_flagged_after_divergent_captures(self):
-        eng, a, sneaky = self._build("replay")
-        a.set(np.zeros(16))
-        r1 = eng.launch(sneaky, 8)
-        assert r1.engine == "replay-capture"
-        a.set(np.arange(16, dtype=float))
-        r2 = eng.launch(sneaky, 8)  # different addresses → flag
-        a.set(np.zeros(16))
-        r3 = eng.launch(sneaky, 8)
-        assert r3.engine == "replay-refused"
+    def test_value_indexed_writer_is_certified_per_input(self):
+        """On zeros both warps write ``out[0]``: refused.  On ``arange``
+        every lane writes its own cell: captured, then replayed."""
+        zeros, ramp = np.zeros(16), np.arange(16, dtype=float)
+        for fill, tags in ((zeros, ["replay-refused"] * 2),
+                           (ramp, ["replay-capture", "replay"])):
+            for latency, tag in zip((5, 17), tags):
+                expected, want = self._launch("event", fill, latency)
+                report, got = self._launch("replay", fill, latency)
+                assert report.engine == tag
+                assert_reports_equal(expected, report)
+                np.testing.assert_array_equal(got, want)
         stats = default_store().metrics["trace_store"]
-        assert stats["flagged_programs"] == 1
-        assert stats["entries_memory"] == 0  # flagged traces evicted
+        assert stats["refusals"] == stats["flagged_programs"] == 2
+        assert stats["captures"] == stats["entries_disk"] == 1
 
     def test_oblivious_program_not_flagged_by_new_data(self):
         for fill in (0.0, 7.0):
@@ -363,8 +365,9 @@ class TestTraceStorePersistence:
             assert set(npz.files) == set(trace.to_payload())
         loaded = codec.decode(path.read_bytes())
         assert isinstance(loaded, CompiledTrace)
-        assert loaded.signature() == trace.signature()
-        assert loaded.meta["machine"] == trace.meta["machine"]
+        for name, array in trace.to_payload().items():
+            np.testing.assert_array_equal(loaded.to_payload()[name], array)
+        assert loaded.race_free()
         ev = loaded.evaluator()
         for latency in (2, 31):
             want, _ = trace.evaluator().evaluate(
@@ -397,12 +400,12 @@ class TestLaunchKey:
         k1 = self._key(5, X64)
         k2 = self._key(50, X64)
         k3 = self._key(5, X64 + 1.0)
-        assert k1.full == k2.full
-        assert k1.struct == k3.struct
-        assert k1.full != k3.full
+        assert k1 == k2
+        assert k1 != k3
+        assert len(k1) == 64 and int(k1, 16) >= 0
 
     def test_key_stable_across_runs(self):
-        """Mutable library memo caches must not churn the struct key."""
+        """Mutable library memo caches must not churn the key."""
         m = HMM(HMMParams(num_dmms=8, width=16, global_latency=16),
                 mode="replay")
         m.sum(X256, 64)  # populates repro.machine.warp._FULL_MASKS etc.

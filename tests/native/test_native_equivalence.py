@@ -125,11 +125,8 @@ def _capture_hmm_trace():
     params = HMMParams(num_dmms=2, width=4, global_latency=9,
                        shared_latency=2)
     HMM(params, mode="replay").sum(X256, 32)
-    HMM(params, mode="replay").sum(X256, 32)  # hit: registers the key
-    store = default_store()
-    fulls = [k for keys in store._keys_by_struct.values() for k in keys]
-    assert fulls
-    return store._ns.get(fulls[0])
+    (_, trace), = default_store().store_namespace.scan()
+    return trace
 
 
 class TestReplayEquivalence:

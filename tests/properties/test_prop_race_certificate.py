@@ -1,0 +1,205 @@
+"""Differential property test of replay's per-launch race certificate.
+
+Hypothesis draws small warp programs: random lane addresses and masks,
+reads and writes (some addressed through the values just read),
+partial warps, DMM-scope and device-scope barriers, compute steps and
+warps that stop early, on the DMM, the UMM and the HMM.  For each:
+
+* the certificate (``"replay-capture"`` vs ``"replay-refused"``) agrees
+  with :meth:`~repro.machine.trace.TraceRecorder.detect_races` on an
+  event run;
+* a certified launch, replayed from the store or re-priced, equals an
+  event run at every latency in ``LATENCIES`` under FIFO and
+  round-robin dispatch: cycles, every ``UnitStats``, memory image;
+* a racy launch is refused, equals the event run, and stores nothing.
+"""
+
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.machine.engine import MachineEngine, reprice
+from repro.machine.hmm import HMMEngine
+from repro.machine.policy import DMMBankPolicy, UMMGroupPolicy
+from repro.machine.replay import default_store, reset_default_store
+from repro.machine.trace import TraceRecorder
+from repro.params import HMMParams, MachineParams
+
+from conftest import assert_reports_equal
+
+#: Cells of each array a program addresses.
+CELLS = 8
+#: Latencies of the flat unit / the HMM global unit checked per launch.
+LATENCIES = (2, 9, 64)
+#: Lanes per warp; the HMM has two DMMs.
+WIDTH = 4
+MAX_WARPS = 4
+
+
+# ---------------------------------------------------------------------------
+# The program model: one step list shared by every warp, so barriers
+# match; each warp draws its own lanes for each memory step and may stop
+# early.
+# ---------------------------------------------------------------------------
+
+def _mem_step():
+    return st.fixed_dictionaries({
+        "op": st.just("mem"),
+        "write": st.lists(st.booleans(), min_size=MAX_WARPS,
+                          max_size=MAX_WARPS),
+        "shared": st.booleans(),
+        "indirect": st.booleans(),
+        "addrs": st.lists(
+            st.lists(st.integers(0, CELLS - 1), min_size=WIDTH,
+                     max_size=WIDTH),
+            min_size=MAX_WARPS, max_size=MAX_WARPS),
+        "masks": st.lists(
+            st.lists(st.booleans(), min_size=WIDTH, max_size=WIDTH),
+            min_size=MAX_WARPS, max_size=MAX_WARPS),
+    })
+
+
+STEPS = st.lists(
+    st.one_of(
+        _mem_step(),
+        st.fixed_dictionaries({"op": st.just("compute"),
+                               "cycles": st.integers(1, 3)}),
+        st.just({"op": "sync_dmm"}),
+        st.just({"op": "barrier"}),
+    ),
+    min_size=1, max_size=7,
+)
+
+CASES = st.fixed_dictionaries({
+    "machine": st.sampled_from(["dmm", "umm", "hmm"]),
+    "threads": st.integers(1, MAX_WARPS * WIDTH),
+    "steps": STEPS,
+    "stops": st.lists(st.integers(0, 7), min_size=MAX_WARPS,
+                      max_size=MAX_WARPS),
+    "init": st.lists(st.integers(0, CELLS - 1), min_size=CELLS,
+                     max_size=CELLS),
+})
+
+
+def _program(case, flat, shared):
+    """The warp program of ``case`` over ``flat`` (global) and
+    ``shared`` (per DMM; ``flat`` again on a flat machine)."""
+    steps, stops = case["steps"], case["stops"]
+
+    def program(warp):
+        me = warp.warp_id
+        last = np.zeros(warp.num_lanes)
+        for i, step in enumerate(steps[:stops[me]] if stops[me] else steps):
+            op = step["op"]
+            if op == "compute":
+                yield warp.compute(step["cycles"])
+            elif op == "sync_dmm":
+                yield warp.sync_dmm()
+            elif op == "barrier":
+                yield warp.barrier()
+            else:
+                array = shared[warp.dmm_id] if step["shared"] else flat
+                addrs = np.asarray(step["addrs"][me][:warp.num_lanes])
+                if step["indirect"]:
+                    addrs = (addrs + last.astype(np.int64)) % CELLS
+                mask = np.asarray(step["masks"][me][:warp.num_lanes])
+                if step["write"][me]:
+                    yield warp.write(array, addrs, 10.0 * me + i, mask=mask)
+                else:
+                    last = yield warp.read(array, addrs, mask=mask)
+
+    return program
+
+
+def _launch(case, mode, latency, dispatch="fifo", trace=None):
+    """One launch of ``case`` on a fresh engine:
+    ``(report, memory image, engine)``."""
+    init = np.asarray(case["init"], dtype=float)
+    if case["machine"] == "hmm":
+        eng = HMMEngine(HMMParams(num_dmms=2, width=WIDTH,
+                                  global_latency=latency, shared_latency=2),
+                        dispatch=dispatch, mode=mode)
+        flat = eng.global_from(init, "g")
+        shared = eng.alloc_shared_all(CELLS, "s")
+    else:
+        policy = DMMBankPolicy() if case["machine"] == "dmm" \
+            else UMMGroupPolicy()
+        eng = MachineEngine(MachineParams(width=WIDTH, latency=latency),
+                            policy, dispatch=dispatch, mode=mode)
+        flat = eng.array_from(init, "g")
+        shared = [flat]
+    report = eng.launch(_program(case, flat, shared), case["threads"],
+                        trace=trace)
+    return report, [space.state() for space in eng.spaces], eng
+
+
+def _assert_same(expected, actual):
+    assert_reports_equal(expected[0], actual[0])
+    for want, got in zip(expected[1], actual[1]):
+        np.testing.assert_array_equal(got, want)
+
+
+def check(case):
+    """The differential property for one drawn program."""
+    with mock.patch.dict(os.environ, {"REPRO_STORE_TRACE": "off"}):
+        reset_default_store()
+        try:
+            recorder = TraceRecorder()
+            event = _launch(case, "event", LATENCIES[0], trace=recorder)
+            capture = _launch(case, "replay", LATENCIES[0])
+            race_free = recorder.detect_races() == []
+            assert capture[0].engine == (
+                "replay-capture" if race_free else "replay-refused")
+            _assert_same(event, capture)
+            stats = default_store().metrics["trace_store"]
+            if not race_free:
+                assert stats["flagged_programs"] == 1
+                assert stats["captures"] == stats["entries_memory"] == 0
+                assert reprice(capture[2], LATENCIES[1]) is None
+                return
+            for dispatch in ("fifo", "round-robin"):
+                for latency in LATENCIES:
+                    expected = _launch(case, "event", latency, dispatch)
+                    replayed = _launch(case, "replay", latency, dispatch)
+                    assert replayed[0].engine == "replay"
+                    _assert_same(expected, replayed)
+                    if dispatch == "fifo":
+                        assert_reports_equal(
+                            expected[0], reprice(capture[2], latency))
+            assert default_store().metrics["trace_store.flagged_programs"] == 0
+        finally:
+            reset_default_store()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=CASES)
+def test_certificate_agrees_with_event_runs(case):
+    check(case)
+
+
+def _read_step(masks):
+    return {"op": "mem", "write": [False] * MAX_WARPS, "shared": False,
+            "indirect": False, "addrs": [[0] * WIDTH] * MAX_WARPS,
+            "masks": masks}
+
+
+NONE, LAST = [False] * WIDTH, [False] * (WIDTH - 1) + [True]
+
+#: Shrunk counterexample: warp 0's first read is fully masked.  It costs
+#: nothing, but under round-robin it takes a dispatch turn, which a
+#: trace without it priced differently.
+MASKED_TURN = {
+    "machine": "dmm", "threads": 8,
+    "steps": [_read_step([NONE, LAST, NONE, NONE]),
+              _read_step([LAST, LAST, NONE, NONE])],
+    "stops": [0] * MAX_WARPS, "init": [0] * CELLS,
+}
+
+
+@pytest.mark.parametrize("backend", ["python", "native"])
+def test_fully_masked_op_takes_a_round_robin_turn(backend, monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    check(MASKED_TURN)

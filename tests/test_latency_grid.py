@@ -4,10 +4,10 @@ A ``/v1/sweep`` over ``l`` is one grouped measure: Table I inputs do not
 depend on ``l``, so every latency of one shape launches on the same
 memory pre-state, and under replay the first latency is captured and
 the others re-price that trace.  These tests pin the three things that
-rests on: grouped measures equal separate event launches; the trace
-store's self-check does not mistake a latency change for a data
-dependence; and, for the launches replayed this way, no cross-warp race
-lets the schedule change what memory ends up holding.
+rests on: grouped measures equal separate event launches; the race
+certificate accepts the Table I launches at any latency and input and
+refuses a racy one; and, for the launches replayed this way, no
+cross-warp race lets the schedule change what memory ends up holding.
 """
 
 import numpy as np
@@ -151,7 +151,8 @@ class TestOracleMeasure:
 
 
 def _sneaky_launch(latency: int, fill: np.ndarray):
-    """A value-indexed program the module registry does not know."""
+    """A value-indexed writer: racy exactly when two warps' values
+    point at one cell."""
     eng = MachineEngine(MachineParams(width=4, latency=latency),
                         DMMBankPolicy(), name="dmm", mode="replay")
     a = eng.array_from(fill, "a")
@@ -165,6 +166,8 @@ def _sneaky_launch(latency: int, fill: np.ndarray):
 
 
 class TestSelfCheckAcrossLatency:
+    """The race certificate decides per launch, whatever the latency."""
+
     def test_hmm_sum_at_two_latencies_and_seeds_is_not_flagged(self):
         q = Params(n=4096, p=256, w=16, l=1, d=8)
         for seed, l in ((1, 2), (2, 300)):
@@ -181,10 +184,17 @@ class TestSelfCheckAcrossLatency:
         assert default_store().metrics["trace_store.flagged_programs"] == 0
 
     def test_value_indexed_program_is_still_flagged(self):
-        assert _sneaky_launch(2, np.zeros(16)).engine == "replay-capture"
-        _sneaky_launch(300, np.arange(16, dtype=float))
-        assert default_store().metrics["trace_store.flagged_programs"] == 1
+        """On zeros every warp writes ``out[0]``: refused at each
+        latency, and nothing stored.  On ``arange`` the same program is
+        race-free: captured once, then replayed at another latency."""
         assert _sneaky_launch(2, np.zeros(16)).engine == "replay-refused"
+        assert _sneaky_launch(300, np.zeros(16)).engine == "replay-refused"
+        assert default_store().metrics["trace_store.flagged_programs"] == 2
+        ramp = np.arange(16, dtype=float)
+        assert _sneaky_launch(2, ramp).engine == "replay-capture"
+        assert _sneaky_launch(300, ramp).engine == "replay"
+        stats = default_store().metrics["trace_store"]
+        assert stats["flagged_programs"] == 2 and stats["captures"] == 1
 
 
 # ---------------------------------------------------------------------------

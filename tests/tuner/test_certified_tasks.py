@@ -55,9 +55,10 @@ class TestSortTask:
         report = tune("sort", shape=SORT_SHAPE, latencies=(4,),
                       mode="auto")
         assert report.mode == "replay"
-        # The conflict-free winner rides the replay engine; the naive
-        # baseline lives in a refused module and falls back to event.
+        # The conflict-free winner rides the replay engine; so does the
+        # naive baseline, whose launches are race-free too.
         assert report.best.extra["engine"].startswith("replay")
+        assert report.baseline.extra["engine"].startswith("replay")
 
 
 class TestMachineCheckedCertificates:

@@ -91,9 +91,10 @@ def test_replay_grid_keys_each_launch_once(fresh_store):
     assert (stats["captures"], stats["hits"], stats["misses"]) == (1, 0, 1)
 
 
-def _run_value_indexed(config, shape, l, mode):
-    """Reads its input where the sign of each value points, so the
-    trace follows the data; ``config["data"]`` seeds the input."""
+def _run_racy(config, shape, l, mode):
+    """Every warp writes its values to ``b``'s first ``w`` cells: which
+    store lands last is up to the schedule; ``config["data"]`` seeds
+    the input."""
     n, w = shape["n"], shape["w"]
     engine = MachineEngine(MachineParams(width=w, latency=l),
                            UMMGroupPolicy(), name="umm", mode=mode)
@@ -103,39 +104,37 @@ def _run_value_indexed(config, shape, l, mode):
 
     def prog(warp):
         vals = yield warp.read(a, warp.tids)
-        idx = np.where(vals > 0, warp.tids, (3 * warp.tids) % n)
-        got = yield warp.read(a, idx)
-        yield warp.write(b, warp.tids, got)
+        yield warp.write(b, warp.lanes, vals)
 
-    report = engine.launch(prog, n, label="value-indexed")
+    report = engine.launch(prog, n, label="racy")
     return b.to_numpy(), report, engine
 
 
-#: Not registered as data-dependent: only the self-check catches it.
-VALUE_INDEXED = TuneTask(
-    name="value-indexed",
-    summary="reads where its input values point",
+#: Marked oblivious, yet every launch races: the certificate refuses it.
+RACY = TuneTask(
+    name="racy",
+    summary="every warp writes one block",
     oblivious=True,
     default_shape={"w": 4, "n": 16},
     space_fn=lambda shape: ParamSpace([Axis("data", (0, 1))]),
     baseline_fn=lambda shape: {"data": 0},
-    run_fn=_run_value_indexed,
+    run_fn=_run_racy,
 )
 
 
 def test_rejected_capture_refuses_the_rest_like_separate_runs(fresh_store):
-    task, lats = VALUE_INDEXED, (3, 9, 27)
+    task, lats = RACY, (3, 9, 27)
     shape = task.shape()
     configs = [{"data": 0}, {"data": 1}]
 
     grid = [task.run_grid(c, shape, lats, "replay") for c in configs]
-    assert [r.engine for _, r in grid[0]] == [
-        "replay-capture", "replay", "replay"]
-    # The second input's capture differs from the first: the self-check
-    # rejects it, and the program refuses replay from then on.
-    assert [r.engine for _, r in grid[1]] == [
-        "replay-capture", "replay-refused", "replay-refused"]
-    assert default_store().metrics["trace_store.flagged_programs"] == 1
+    # No racy capture is stored, so each latency is a full launch whose
+    # capture is refused again.
+    for runs in grid:
+        assert [r.engine for _, r in runs] == ["replay-refused"] * len(lats)
+    stats = default_store().metrics["trace_store"]
+    assert stats["flagged_programs"] == stats["refusals"] == 2 * len(lats)
+    assert stats["captures"] == 0
     fresh_store()
     separate = [[task.run(c, shape, l, "replay")[:2] for l in lats]
                 for c in configs]

@@ -140,13 +140,13 @@ class TestModesAndFallback:
         assert resolve_tune_mode(get_task("sort"), "auto") == "replay"
         assert resolve_tune_mode(get_task("gather"), "event") == "event"
 
-    def test_gather_refuses_replay_but_stays_correct(self):
+    def test_gather_replays_when_forced_and_stays_correct(self):
         shape = {"n": 64}
         forced = tune("gather", shape=shape, latencies=(4,), mode="replay")
         auto = tune("gather", shape=shape, latencies=(4,), mode="auto")
-        # The refusal registry routes the data-dependent kernel to the
-        # exact event engine; costs match the batch-backed auto run.
-        assert forced.best.extra["engine"] == "replay-refused"
+        # Each gather launch is race-free, so an explicit replay search
+        # replays it; "auto" still picks batch.  The costs agree.
+        assert forced.best.extra["engine"].startswith("replay")
         assert auto.mode == "batch"
         assert forced.best.cost == auto.best.cost
         assert forced.best.config == auto.best.config
@@ -167,12 +167,6 @@ TASK_SHAPES = {
     "permutation": {"n": 128},
     "gather": {"n": 64},
 }
-
-
-def _replayable(task_name: str, config: dict) -> bool:
-    """Whether replay accepts the task's launch under ``config``: the
-    naive sort network comes from the refusing ``sorting`` module."""
-    return not (task_name == "sort" and config["network"] == "naive")
 
 
 class TestVerdicts:
@@ -212,27 +206,21 @@ class TestVerdicts:
         stats = default_store().metrics["trace_store"]
 
         evaluated = [config for config, _ in report.history]
-        accepted = [c for c in evaluated if _replayable(task_name, c)]
-        # One capture per evaluated launch replay accepts; dispatch is
-        # priced, not keyed, so it shares its launch's trace.
+        # One capture per evaluated launch (every one is race-free);
+        # dispatch is priced, not keyed, so it shares its launch's trace.
         launches = {json.dumps({k: v for k, v in c.items()
                                 if k != "dispatch"}, sort_keys=True)
-                    for c in accepted}
-        assert accepted
+                    for c in evaluated}
+        assert evaluated
         assert stats["captures"] == len(launches)
         if task_name == "transpose":
             assert stats["captures"] == report.evaluations
 
-        # Each verdict launch is a hit, or an event run where replay
-        # refuses; neither captures.
-        verdicts = [report.baseline.config, report.best.config]
-        verdict_hits = sum(_replayable(task_name, c) for c in verdicts)
-        refused_points = (len(evaluated) - len(accepted)) * len(LATS)
-        assert stats["refusals"] == refused_points + 2 - verdict_hits
-        # Each accepted configuration is looked up once, at its first
-        # latency, and re-priced at the others without a lookup.
-        assert stats["hits"] == (len(accepted) - stats["captures"]
-                                 + verdict_hits)
+        # Each verdict launch is a hit; neither captures.
+        assert stats["refusals"] == stats["flagged_programs"] == 0
+        # Each configuration is looked up once, at its first latency,
+        # and re-priced at the others without a lookup.
+        assert stats["hits"] == len(evaluated) - stats["captures"] + 2
 
 
 class TestValidation:

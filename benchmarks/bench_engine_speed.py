@@ -51,13 +51,16 @@ def test_speed_hmm_convolution(benchmark, rng):
     assert np.allclose(z, np.correlate(y, x, "valid"))
 
 
-# -- batch vs event ----------------------------------------------------------
+# -- batch and replay capture vs event ---------------------------------------
 #
 # The vectorized batch engine must agree with the event scheduler on
 # every cycle count while being substantially faster on the regular
-# workloads it is built for.  These benchmarks time both engines on the
-# same launches, assert the cycle counts match, and persist the
-# comparison table to benchmarks/out/engine_speed.txt.
+# workloads it is built for.  A replay capture (a cold launch in
+# ``mode="replay"``: the warps stepped without the scheduler, the trace
+# certified and priced) is timed on the same launches, with trace
+# persistence off and the store cleared before each rep, so every rep
+# captures.  These benchmarks assert the cycle counts match and persist
+# the comparison table to benchmarks/out/engine_speed.txt.
 
 import time
 
@@ -65,12 +68,14 @@ from _util import emit, format_rows, write_bench_json
 from repro.core.kernels.hmm_sum import hmm_sum
 from repro.machine.hmm import HMMEngine
 from repro.machine.policy import DMMBankPolicy
+from repro.machine.replay import default_store, reset_default_store
 
 
 def _best_of(fn, reps=3):
     best = None
     result = None
     for _ in range(reps):
+        default_store().clear()
         t0 = time.perf_counter()
         result = fn()
         dt = time.perf_counter() - t0
@@ -81,7 +86,14 @@ def _best_of(fn, reps=3):
 def _contiguous_case(policy, n, p, mode):
     eng = MachineEngine(MachineParams(width=32, latency=100), policy(), mode=mode)
     a = eng.alloc(n)
-    return _best_of(lambda: eng.launch(contiguous_read(a, n), p).cycles)
+
+    def run():
+        report = eng.launch(contiguous_read(a, n), p)
+        if mode == "replay":
+            assert report.engine == "replay-capture", report.engine
+        return report.cycles
+
+    return _best_of(run)
 
 
 def _hmm_sum_case(vals, p, mode):
@@ -90,9 +102,20 @@ def _hmm_sum_case(vals, p, mode):
             HMMParams(num_dmms=8, width=32, global_latency=200), mode=mode
         )
         total, report = hmm_sum(eng, vals, p)
+        if mode == "replay":
+            assert report.engine == "replay-capture", report.engine
         return total, report.cycles
 
     return _best_of(run)
+
+
+@pytest.fixture
+def memory_trace_store(monkeypatch):
+    """The process's trace store with persistence off."""
+    monkeypatch.setenv("REPRO_STORE_TRACE", "off")
+    reset_default_store()
+    yield
+    reset_default_store()
 
 
 def test_speed_contiguous_read_batch(benchmark):
@@ -109,8 +132,9 @@ def test_speed_contiguous_read_batch(benchmark):
     assert cycles > 0
 
 
-def test_batch_vs_event_comparison(rng):
-    """Wall-clock comparison table: batch speedup at identical cycles."""
+def test_batch_vs_event_comparison(rng, memory_trace_store):
+    """Wall-clock comparison table: batch speedup at identical cycles,
+    and the replay capture's time beside them."""
     records = []
 
     for policy in (UMMGroupPolicy, DMMBankPolicy):
@@ -118,12 +142,15 @@ def test_batch_vs_event_comparison(rng):
             n, p = 1 << n_log, 1024
             t_ev, c_ev = _contiguous_case(policy, n, p, "event")
             t_ba, c_ba = _contiguous_case(policy, n, p, "batch")
+            t_ca, c_ca = _contiguous_case(policy, n, p, "replay")
             assert c_ba == c_ev
+            assert c_ca == c_ev
             records.append({
                 "workload": f"contiguous_read[{policy().name}] "
                             f"n=2^{n_log} p={p}",
                 "event_ms": round(t_ev * 1e3, 2),
                 "batch_ms": round(t_ba * 1e3, 2),
+                "capture_ms": round(t_ca * 1e3, 2),
                 "speedup": round(t_ev / t_ba, 2),
                 "cycles": c_ev,
             })
@@ -132,12 +159,16 @@ def test_batch_vs_event_comparison(rng):
         vals = rng.normal(size=1 << n_log)
         t_ev, (total_ev, c_ev) = _hmm_sum_case(vals, 512, "event")
         t_ba, (total_ba, c_ba) = _hmm_sum_case(vals, 512, "batch")
+        t_ca, (total_ca, c_ca) = _hmm_sum_case(vals, 512, "replay")
         assert c_ba == c_ev
         assert total_ba == total_ev
+        assert c_ca == c_ev
+        assert total_ca == total_ev
         records.append({
             "workload": f"hmm_sum n=2^{n_log} p=512",
             "event_ms": round(t_ev * 1e3, 2),
             "batch_ms": round(t_ba * 1e3, 2),
+            "capture_ms": round(t_ca * 1e3, 2),
             "speedup": round(t_ev / t_ba, 2),
             "cycles": c_ev,
         })
@@ -145,9 +176,11 @@ def test_batch_vs_event_comparison(rng):
     emit(
         "engine_speed",
         format_rows(
-            ["workload", "event ms", "batch ms", "speedup", "cycles"],
+            ["workload", "event ms", "batch ms", "capture ms", "speedup",
+             "cycles"],
             [(r["workload"], f"{r['event_ms']:.1f}", f"{r['batch_ms']:.1f}",
-              f"{r['speedup']:.1f}x", r["cycles"]) for r in records],
+              f"{r['capture_ms']:.1f}", f"{r['speedup']:.1f}x", r["cycles"])
+             for r in records],
         ),
     )
     speedups = [r["speedup"] for r in records]

@@ -1,8 +1,8 @@
 """Trace replay vs. event vs. batch on a Figure-4-style latency sweep.
 
 The replay engine's reason to exist: a latency sweep re-prices the same
-warp transaction trace at every point, so after one instrumented
-capture, each remaining point is a cache hit — one vectorized slot
+warp transaction trace at every point, so after one capture, each
+remaining point is a cache hit — one vectorized slot
 count (cached per policy) plus a lean integer pass over the compiled
 op stream, with no thread-program re-execution.  This bench times the
 same sweep under all three modes, asserts the cycle counts are

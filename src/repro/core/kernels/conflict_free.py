@@ -18,8 +18,8 @@ That buys three things at once:
    information-theoretic floor.  The trace-level checker in
    :mod:`repro.analysis.certify` verifies this machine-checked.
 2. **Replay for every input.**  Because the addresses never depend on
-   the stored values, the compiled trace of one instrumented run
-   re-prices any latency/policy, and every input of a shape produces
+   the stored values, the compiled trace of one capture re-prices
+   any latency/policy, and every input of a shape produces
    that same trace (the :mod:`repro.analysis.certify` pass checks it).
 3. **Tuner certificates.**  A conflict-free run is a
    ``certificate: "conflict-free"`` early exit for the autotuner.

@@ -72,10 +72,11 @@ def run_launch(
     time unit 0, then the evaluator is picked:
 
     * ``mode="replay"`` without a recorder → :func:`replay_launch`:
-      a trace-store hit (tag ``"replay"``), a race-free capture
-      (``"replay-capture"``) or a refusal (``"replay-refused"``: a
-      racy capture keeps its own run; an unkeyable program or an
-      overflowed capture runs on the event scheduler);
+      a trace-store hit (tag ``"replay"``) or a race-free capture
+      (``"replay-capture"``), both priced from their trace with the
+      units untouched, or a refusal (``"replay-refused"``: a racy,
+      overflowed or failed capture rolls back, and the launch runs on
+      the event scheduler, as does an unkeyable program);
     * ``mode="batch"`` without a recorder under FIFO dispatch →
       :class:`BatchCostEngine` (``"batch"``); on :class:`BatchFallback`
       memory and units roll back and the launch runs on the event

@@ -133,19 +133,9 @@ class MemorySpace:
 
         Cells past the allocation break are unreachable by kernels, so
         this is the complete observable value state of the space — what
-        trace replay hashes (cache keying) and stores (post-run state).
+        trace replay hashes (cache keying).
         """
         return self._cells[: self._brk].copy()
-
-    def load_state(self, cells: np.ndarray) -> None:
-        """Overwrite the first ``cells.size`` cells with ``cells``.
-
-        The inverse of :meth:`state`: trace replay uses it to reinstate a
-        captured post-run state without re-executing the kernel.  The
-        allocation break is host-side and untouched.
-        """
-        self._ensure(cells.size)
-        self._cells[: cells.size] = cells
 
     def begin_undo(self) -> None:
         """Start logging stores so they can be rolled back.
@@ -160,6 +150,13 @@ class MemorySpace:
     def end_undo(self) -> None:
         """Stop logging stores and drop the undo log (attempt succeeded)."""
         self._undo = None
+
+    def written(self) -> np.ndarray:
+        """Distinct addresses stored to since :meth:`begin_undo`, sorted
+        (the cells a trace capture records with their final values)."""
+        if not self._undo:
+            return np.empty(0, dtype=np.int64)
+        return np.unique(np.concatenate([addrs for addrs, _ in self._undo]))
 
     def rollback(self) -> None:
         """Revert every store since :meth:`begin_undo`, newest first.
@@ -206,7 +203,7 @@ def attempt_with_rollback(
 ) -> _T | None:
     """Run ``attempt()`` with every store to ``spaces`` undo-logged.
 
-    The guard shared by the batch attempt and the trace-capture run.  On
+    The guard shared by the batch attempt and the trace capture.  On
     ``failure`` the stores are reverted newest first, ``units`` (anything
     with ``reset()``) forget the abandoned attempt's traffic, and the
     result is ``None``: the caller re-runs the launch on the event

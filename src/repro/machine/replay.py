@@ -7,25 +7,25 @@ and end-to-end time follows the pipeline recurrence.  Neither depends on
 the memory latency ``l``, the slot policy, pipelining, or the dispatch
 order — those are *evaluation-time* parameters.  So a latency or policy
 sweep does not need to re-execute the thread programs at every point: one
-instrumented event run per ``(kernel, n, w, d, data)`` shape yields a
-:class:`CompiledTrace`, and a :class:`ReplayCostEvaluator` re-prices it
-at any ``(l, policy, pipelined, dispatch)`` with one vectorized slot
-count plus a lean integer event loop — bit-identical to the event
-scheduler, without generators, numpy per-op address work, or memory
-effects.
+capture per ``(kernel, n, w, d, data)`` shape yields a
+:class:`CompiledTrace`, and a :class:`ReplayCostEvaluator` prices it at
+any ``(l, policy, pipelined, dispatch)`` with one vectorized slot count
+plus a lean integer event loop — bit-identical to the event scheduler,
+without generators, numpy per-op address work, or memory effects.  The
+capture itself simulates no time: it steps each warp from barrier to
+barrier, and its trace is priced like a stored one.
 
 Pieces
 ------
 
 :class:`TraceCompiler`
-    A :class:`~repro.machine.trace.TraceRecorder` subclass that captures
-    complete per-warp operation streams (memory transactions with raw
-    lane addresses, compute steps, barrier arrivals) during one event
-    run.
+    Records the complete per-warp operation streams of one capture
+    (memory transactions with raw lane addresses, fused ranges as one
+    chunk, compute steps, fully-masked ops, barrier arrivals).
 
 :class:`CompiledTrace`
     The compact structured-numpy-array form of a captured launch, plus
-    the post-run memory state so a replayed launch still "produces" the
+    the cells it wrote, so a replayed launch still "produces" the
     kernel's outputs.  The trace store's codec writes it as one ``.npz``
     archive.
 
@@ -47,14 +47,19 @@ Pieces
 Safety
 ------
 
-A stored trace may be re-priced at any ``(l, policy, pipelined,
-dispatch)`` exactly when no schedule can change what a warp reads or
-what memory ends up holding: no two warps touch one address inside a
-barrier epoch with at least one of them writing.  Every capture proves
-or refutes this for its own launch (:meth:`CompiledTrace.race_free`).
-A race-free capture is stored; a racy one keeps its own result, which
-already is the exact event run, and is counted as a refusal and as a
-flagged capture.  The launch key hashes the memory pre-state, so a
+A trace may be priced at any ``(l, policy, pipelined, dispatch)``
+exactly when no schedule can change what a warp reads or what memory
+ends up holding: no two warps touch one address inside a barrier epoch
+with at least one of them writing.  Every capture proves or refutes
+this for its own launch (:meth:`CompiledTrace.race_free`), and the
+proof covers the event run too.  Take a race-free capture and any other
+schedule, and the first read in that schedule that sees a different
+value.  The write that changed the value comes from another warp, in
+the same barrier epoch, from the same program prefix, so the capture
+already held that conflicting pair: a race.  A race-free capture is
+stored and priced; a racy one rolls its stores back, is counted as a
+refusal and as a flagged capture, and the launch runs on the event
+scheduler.  The launch key hashes the memory pre-state, so a
 certificate covers exactly the launches that hit its trace.
 
 Programs whose closures contain objects the keyer cannot canonically
@@ -74,20 +79,29 @@ import json
 import threading
 import types
 import zipfile
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.errors import KernelError, TraceOverflowError
+from repro.errors import DeadlockError, KernelError, TraceOverflowError
 from repro.machine.memory import MemorySpace, attempt_with_rollback
 from repro.metrics import PROCESS, Registry, hit_rate
 from repro.native import native_kernels, resolve_backend
 from repro.native.cdefs import KERNELS as _NATIVE_KERNELS
 from repro.store import ArtifactStore
 from repro.store import config as _store_config
-from repro.machine.ops import AccessKind, BarrierScope
+from repro.machine.ops import (
+    BarrierOp,
+    BarrierScope,
+    ComputeOp,
+    MemoryOp,
+    RangeOp,
+    ReadOp,
+    ReadRangeOp,
+)
 from repro.machine.pipeline import UnitStats
 from repro.machine.policy import (
     DMMBankPolicy,
@@ -95,8 +109,7 @@ from repro.machine.policy import (
     SlotPolicy,
     UMMGroupPolicy,
 )
-from repro.machine.scheduler import Scheduler, SchedulerResult, WarpState
-from repro.machine.trace import TraceRecorder
+from repro.machine.scheduler import SchedulerResult, WarpState
 from repro.machine.warp import WarpContext
 
 __all__ = [
@@ -279,7 +292,7 @@ def derive_launch_key(
     pipelining, and dispatch order — the replay-time parameters.
     """
     h = hashlib.sha256()
-    h.update(f"trace-v2|{fingerprint}|{machine}|{width}|".encode())
+    h.update(f"trace-v3|{fingerprint}|{machine}|{width}|".encode())
     for ctx in contexts:
         h.update(f"{ctx.warp_id},{ctx.dmm_id},{ctx.tids.size};".encode())
     try:
@@ -293,17 +306,21 @@ def derive_launch_key(
 
 
 # ---------------------------------------------------------------------------
-# Capture: TraceRecorder subclass building per-warp operation streams.
+# Capture: step the warps barrier to barrier, record per-warp streams.
 # ---------------------------------------------------------------------------
 
 
-class TraceCompiler(TraceRecorder):
-    """Captures the complete operation stream of one event run.
+class TraceCompiler:
+    """Records the per-warp operation streams of one launch.
 
-    Unlike the base recorder it keeps *raw* (not deduplicated) lane
-    addresses — replay recounts slots under arbitrary policies — and it
-    also records compute steps and barrier arrivals, which cost nothing
-    on a memory unit but shape the timeline.  :meth:`compile` freezes
+    The capture (:func:`replay_launch`) hands it each op as a warp
+    yields it: memory transactions with their *raw* (not deduplicated)
+    lane addresses, since replay recounts slots under any policy; a
+    fused range as one chunk of ``rounds`` transactions; compute steps,
+    fully-masked memory ops and barrier arrivals, which cost nothing on
+    a memory unit but shape the timeline.  ``max_transactions`` caps
+    the memory transactions recorded: going past it raises
+    :class:`~repro.errors.TraceOverflowError`.  :meth:`compile` freezes
     the streams into a :class:`CompiledTrace`.
     """
 
@@ -313,60 +330,50 @@ class TraceCompiler(TraceRecorder):
         *,
         max_transactions: int | None = None,
     ) -> None:
-        super().__init__(max_transactions=max_transactions)
-        self._unit_index = {name: i for i, name in enumerate(unit_names)}
         self._unit_names = list(unit_names)
-        self._warp: list[int] = []
-        self._kind: list[int] = []
-        self._unit: list[int] = []
-        self._arg: list[int] = []
-        self._read: list[int] = []
-        self._req: list[int] = []
+        self.max_transactions = max_transactions
+        #: ``(warp, kind, unit, arg, read, lanes, rounds)`` per op or
+        #: fused range; ``compile`` expands a range to its rounds.
+        self._ops: list[tuple[int, int, int, int, int, int, int]] = []
         self._addr_chunks: list[np.ndarray] = []
         self._transactions = 0
 
-    # -- hooks -------------------------------------------------------------
-    def record(self, ctx, unit, op, issue, *, post_compute: int = 0) -> None:
-        self._check_capacity(self._transactions)
-        self._transactions += 1
-        addrs = np.asarray(op.addresses, dtype=np.int64).ravel()
-        self._warp.append(ctx.warp_id)
-        self._kind.append(_OP_MEM)
-        self._unit.append(self._unit_index[unit.name])
-        self._arg.append(int(post_compute))
-        self._read.append(1 if op.kind is AccessKind.READ else 0)
-        self._req.append(int(addrs.size))
-        self._addr_chunks.append(addrs.copy())
+    def _reserve(self, transactions: int) -> None:
+        self._transactions += transactions
+        if (self.max_transactions is not None
+                and self._transactions > self.max_transactions):
+            raise TraceOverflowError(
+                f"trace exceeded max_transactions={self.max_transactions}; "
+                "raise the cap (or trace a smaller launch)"
+            )
 
-    def record_compute(self, ctx, cycles: int) -> None:
-        self._warp.append(ctx.warp_id)
-        self._kind.append(_OP_COMPUTE)
-        self._unit.append(-1)
-        self._arg.append(int(cycles))
-        self._read.append(0)
-        self._req.append(0)
+    # -- recording ---------------------------------------------------------
+    def memory(self, warp: int, unit: int, addresses: np.ndarray,
+               read: bool) -> None:
+        """One warp memory transaction on unit index ``unit``."""
+        self._reserve(1)
+        self._ops.append((warp, _OP_MEM, unit, 0, read, addresses.size, 1))
+        self._addr_chunks.append(np.array(addresses, dtype=np.int64))
 
-    def record_masked(self, ctx) -> None:
-        self._warp.append(ctx.warp_id)
-        self._kind.append(_OP_MASKED)
-        self._unit.append(-1)
-        self._arg.append(0)
-        self._read.append(0)
-        self._req.append(0)
+    def range(self, warp: int, unit: int, addresses: np.ndarray, read: bool,
+              compute: int) -> None:
+        """A fused range: one transaction per row of ``addresses``, each
+        followed by ``compute`` time units of local work."""
+        rounds, lanes = addresses.shape
+        self._reserve(rounds)
+        self._ops.append((warp, _OP_MEM, unit, compute, read, lanes, rounds))
+        self._addr_chunks.append(np.array(addresses, dtype=np.int64).ravel())
 
-    def record_arrival(self, ctx, scope: BarrierScope) -> None:
-        self._warp.append(ctx.warp_id)
-        self._kind.append(_OP_BARRIER)
-        self._unit.append(-1)
-        self._arg.append(
-            _SCOPE_DEVICE if scope is BarrierScope.DEVICE else _SCOPE_DMM
-        )
-        self._read.append(0)
-        self._req.append(0)
+    def compute(self, warp: int, cycles: int) -> None:
+        self._ops.append((warp, _OP_COMPUTE, -1, cycles, 0, 0, 1))
 
-    def record_barrier(self, scope, dmm_id, time) -> None:
-        # Release times are re-derived at replay time; nothing to store.
-        pass
+    def masked(self, warp: int) -> None:
+        """A fully-masked memory op: no cost, but a dispatch turn."""
+        self._ops.append((warp, _OP_MASKED, -1, 0, 0, 0, 1))
+
+    def arrival(self, warp: int, scope: BarrierScope) -> None:
+        code = _SCOPE_DEVICE if scope is BarrierScope.DEVICE else _SCOPE_DMM
+        self._ops.append((warp, _OP_BARRIER, -1, code, 0, 0, 1))
 
     # -- freezing ----------------------------------------------------------
     def compile(
@@ -375,26 +382,27 @@ class TraceCompiler(TraceRecorder):
         contexts: Sequence[WarpContext],
         machine: str,
         width: int,
-        post_state: dict[str, np.ndarray],
+        post_state: "dict[str, tuple[np.ndarray, np.ndarray]]",
         fingerprint: str,
     ) -> "CompiledTrace":
-        """Freeze the captured streams into a :class:`CompiledTrace`."""
-        lengths = np.fromiter(
-            (
-                self._req[i] if self._kind[i] == _OP_MEM else 0
-                for i in range(len(self._kind))
-            ),
-            dtype=np.int64,
-            count=len(self._kind),
-        )
-        addr_off = np.concatenate(([0], np.cumsum(lengths)))
+        """Freeze the recorded streams into a :class:`CompiledTrace`.
+
+        ``post_state`` maps a space name to the ``(addresses, values)``
+        of the cells the launch wrote there.
+        """
+        ops = np.array(self._ops, dtype=np.int64).reshape(-1, 7)
+        rounds = ops[:, 6]
+        if (rounds > 1).any():
+            ops = np.repeat(ops, rounds, axis=0)
+        warp, kind, unit, arg, read, lanes = ops[:, :6].T
+        lengths = np.where(kind == _OP_MEM, lanes, 0)
         addresses = (
             np.concatenate(self._addr_chunks)
             if self._addr_chunks
             else np.empty(0, dtype=np.int64)
         )
         meta = {
-            "version": 1,
+            "version": 2,
             "machine": machine,
             "width": int(width),
             "num_threads": int(contexts[0].num_threads) if contexts else 0,
@@ -407,15 +415,120 @@ class TraceCompiler(TraceRecorder):
         }
         return CompiledTrace(
             meta=meta,
-            op_warp=np.asarray(self._warp, dtype=np.int32),
-            op_kind=np.asarray(self._kind, dtype=np.int8),
-            op_unit=np.asarray(self._unit, dtype=np.int16),
-            op_arg=np.asarray(self._arg, dtype=np.int64),
-            op_read=np.asarray(self._read, dtype=np.int8),
-            op_req=np.asarray(self._req, dtype=np.int32),
-            addr_off=addr_off.astype(np.int64),
-            addresses=addresses.astype(np.int64),
-            post_state={k: np.asarray(v, dtype=np.float64) for k, v in post_state.items()},
+            op_warp=warp.astype(np.int32),
+            op_kind=kind.astype(np.int8),
+            op_unit=unit.astype(np.int16),
+            op_arg=np.ascontiguousarray(arg),
+            op_read=read.astype(np.int8),
+            op_req=lanes.astype(np.int32),
+            addr_off=np.concatenate(([0], np.cumsum(lengths))),
+            addresses=addresses,
+            post_state=post_state,
+        )
+
+
+def _step_warps(
+    program: Callable,
+    contexts: Sequence[WarpContext],
+    engine,
+    compiler: TraceCompiler,
+) -> None:
+    """Run one launch to completion without the event scheduler.
+
+    Each runnable warp's generator is stepped until the warp reaches a
+    barrier or finishes.  A barrier group (the device, or one DMM)
+    releases its waiting warps once every live member has arrived.
+    Memory effects apply as the ops come, each op goes straight into
+    ``compiler``, and no time is simulated: the trace is priced later.
+    An event run applies the same stores in another order within each
+    barrier epoch, which in a race-free launch changes no value any warp
+    reads.  Raises :class:`~repro.errors.DeadlockError` when warps are
+    left at a barrier that can never be released,
+    :class:`~repro.errors.KernelError` on an unknown op, and whatever
+    the program or ``engine._unit_for`` raises.
+    """
+    unit_index = {id(unit): i for i, unit in enumerate(engine.units)}
+    unit_of: dict[tuple, int] = {}
+    warps = {ctx.warp_id: WarpState(ctx=ctx, program=program(ctx))
+             for ctx in contexts}
+    device = _Group(set(warps))
+    by_dmm: dict[int, set[int]] = {}
+    for ctx in contexts:
+        by_dmm.setdefault(ctx.dmm_id, set()).add(ctx.warp_id)
+    dmm_groups = {dmm: _Group(members) for dmm, members in by_dmm.items()}
+    runnable = deque(warps.values())
+
+    def release(group: _Group) -> None:
+        if group.members and group.waiting == group.members:
+            runnable.extend(warps[w] for w in sorted(group.waiting))
+            group.waiting.clear()
+
+    def unit(ws: WarpState, op) -> int:
+        key = (op.array.space, ws.ctx.dmm_id)
+        u = unit_of.get(key)
+        if u is None:
+            u = unit_of[key] = unit_index[id(engine._unit_for(ws, op))]
+        return u
+
+    while runnable:
+        ws = runnable.popleft()
+        wid, gen, lanes = ws.warp_id, ws.program, ws.ctx.num_lanes
+        dmm = dmm_groups[ws.ctx.dmm_id]
+        send = None
+        while True:
+            try:
+                op = gen.send(send)
+            except StopIteration:
+                for group in (device, dmm):
+                    group.members.discard(wid)
+                    release(group)
+                break
+            send = None
+            if isinstance(op, MemoryOp):
+                read = isinstance(op, ReadOp)
+                addresses = op.addresses
+                if addresses.size == 0:
+                    compiler.masked(wid)
+                    if read:
+                        send = np.zeros(lanes, dtype=np.float64)
+                    continue
+                compiler.memory(wid, unit(ws, op), addresses, read)
+                space = op.array.space
+                if read:
+                    send = np.zeros(lanes, dtype=np.float64)
+                    assert op.result_mask is not None
+                    send[op.result_mask] = space.load(addresses)
+                else:
+                    space.store(addresses, op.values)
+            elif isinstance(op, ComputeOp):
+                compiler.compute(wid, op.cycles)
+            elif isinstance(op, RangeOp):
+                read = isinstance(op, ReadRangeOp)
+                compiler.range(wid, unit(ws, op), op.addresses, read,
+                               op.compute)
+                space = op.array.space
+                if read:
+                    send = space.load(op.addresses)
+                else:
+                    # Later rounds overwrite earlier ones; within a round
+                    # the lowest lane wins (store keeps first occurrences).
+                    space.store(op.addresses[::-1].ravel(),
+                                op.values[::-1].ravel())
+            elif isinstance(op, BarrierOp):
+                compiler.arrival(wid, op.scope)
+                group = device if op.scope is BarrierScope.DEVICE else dmm
+                group.waiting.add(wid)
+                release(group)
+                break
+            else:
+                raise KernelError(
+                    f"warp {wid} yielded unknown operation {op!r}")
+    stuck = sorted(set().union(
+        device.waiting, *(g.waiting for g in dmm_groups.values())))
+    if stuck:
+        raise DeadlockError(
+            f"warps {stuck} are blocked at a barrier that can never be "
+            "released (mismatched barrier counts?)"
         )
 
 
@@ -429,16 +542,16 @@ class CompiledTrace:
     """One captured launch as flat structured numpy arrays.
 
     The ``i``-th entry of the ``op_*`` arrays describes the ``i``-th
-    operation in global capture (dispatch) order; restricting to one
-    warp id yields that warp's program-order stream.  ``op_kind`` is 0
-    (memory), 1 (compute), 2 (barrier arrival) or 3 (a fully-masked
-    memory op: no cost, one dispatch turn); ``op_arg`` carries
-    the kind-specific integer (post-transaction compute / compute
-    cycles / barrier scope).  Memory ops own the address slice
+    operation in capture order; restricting to one warp id yields that
+    warp's program-order stream (only that order means anything).
+    ``op_kind`` is 0 (memory), 1 (compute), 2 (barrier arrival) or 3 (a
+    fully-masked memory op: no cost, one dispatch turn); ``op_arg``
+    carries the kind-specific integer (post-transaction compute /
+    compute cycles / barrier scope).  Memory ops own the address slice
     ``addresses[addr_off[i]:addr_off[i+1]]`` — raw per-lane addresses,
-    so any slot policy can recount them.  ``post_state`` maps space
-    names to the post-run cell values (see
-    :meth:`~repro.machine.memory.MemorySpace.load_state`).
+    so any slot policy can recount them.  ``post_state`` maps a space
+    name to the ``(addresses, values)`` of the cells the launch wrote
+    there: the launch key fixes every other cell.
     """
 
     meta: dict
@@ -450,7 +563,7 @@ class CompiledTrace:
     op_req: np.ndarray
     addr_off: np.ndarray
     addresses: np.ndarray
-    post_state: dict[str, np.ndarray]
+    post_state: dict[str, tuple[np.ndarray, np.ndarray]]
     _evaluator: "ReplayCostEvaluator | None" = field(
         default=None, repr=False, compare=False
     )
@@ -553,8 +666,13 @@ class CompiledTrace:
             "addr_off": self.addr_off,
             "addresses": self.addresses,
         }
-        for i, name in enumerate(self.meta["post_names"]):
-            payload[f"post_{i}"] = self.post_state[name]
+        written = [self.post_state[name] for name in self.meta["post_names"]]
+        payload["post_off"] = np.cumsum(
+            [0, *(cells.size for cells, _ in written)], dtype=np.int64)
+        payload["post_cells"] = np.concatenate(
+            [cells for cells, _ in written] or [np.empty(0, np.int64)])
+        payload["post_values"] = np.concatenate(
+            [values for _, values in written] or [np.empty(0)])
         return payload
 
     @classmethod
@@ -563,8 +681,10 @@ class CompiledTrace:
     ) -> "CompiledTrace":
         """Inverse of :meth:`to_payload` (raises on missing arrays)."""
         meta = json.loads(bytes(payload["meta"].tobytes()).decode())
+        off, cells = payload["post_off"], payload["post_cells"]
+        values = payload["post_values"]
         post_state = {
-            name: payload[f"post_{i}"]
+            name: (cells[off[i]:off[i + 1]], values[off[i]:off[i + 1]])
             for i, name in enumerate(meta["post_names"])
         }
         return cls(
@@ -1275,6 +1395,10 @@ def price_trace(
     )
 
 
+class _RacyCapture(Exception):
+    """A capture whose trace :meth:`CompiledTrace.race_free` refutes."""
+
+
 def replay_launch(
     program: Callable,
     contexts: Sequence[WarpContext],
@@ -1287,24 +1411,28 @@ def replay_launch(
 
     ``engine`` is the launching :class:`~repro.machine.engine.MachineEngine`
     or :class:`~repro.machine.hmm.HMMEngine`; its units have just been
-    reset by :func:`~repro.machine.engine.run_launch`.
+    reset by :func:`~repro.machine.engine.run_launch`, and replay never
+    touches them: ``stats`` holds the per-unit statistics.
 
-    * trace-store hit → re-price the stored trace at the engine's
-      current latencies/policies/dispatch, reinstate the captured
-      post-run memory state, tag ``"replay"`` (``stats`` holds the
-      per-unit statistics; the engine's own units saw no traffic);
-    * miss → one instrumented event run captures the trace (undo-logged:
-      a capture-cap overflow rolls back and counts as a refusal); a
-      race-free capture is stored, tag ``"replay-capture"``; a racy one
-      is not, tag ``"replay-refused"``, and counts as a refusal and a
-      flagged capture.  Either way the capture run is the launch's
-      event run (``stats is None`` — the engine's units observed it);
-    * refusal before any run (unkeyable program / overflow) →
-      ``result is None``, tag ``"replay-refused"``: the caller runs the
-      launch on the event scheduler.
+    * trace-store hit → price the stored trace at the engine's current
+      latencies/policies/dispatch, write the cells it records, tag
+      ``"replay"``;
+    * miss → capture without the scheduler: step each warp from barrier
+      to barrier, applying its stores under an undo log, then compile
+      the trace and check it race-free while the log is open.  A
+      race-free capture is stored and priced exactly as a hit is, tag
+      ``"replay-capture"``;
+    * refusal → ``result is None``, tag ``"replay-refused"``, counted in
+      ``trace_store.refusals``: the caller runs the launch on the event
+      scheduler, the reference.  An unkeyable program refuses before
+      any run.  Every failed capture first rolls its stores back: a
+      racy one (also counted as a flagged capture), one over the
+      capture cap, and one that raised (a deadlock, a bad address, a
+      kernel error), whose error the event run raises again with its
+      own stores standing.
 
-    ``trace`` is the trace a hit priced or a race-free capture stored,
-    which prices this launch at any other latency; ``None`` otherwise.
+    ``trace`` is the trace a hit priced or a capture stored, which
+    prices this launch at any other latency; ``None`` on a refusal.
     """
     store = default_store()
     width = engine.params.width
@@ -1322,41 +1450,46 @@ def replay_launch(
         return None, None, "replay-refused", None
 
     unit_names = [unit.name for unit in units]
+    latencies = [unit.latency for unit in units]
     trace = store.lookup(key)
     if trace is not None and trace.matches_launch(
         machine=engine.kind, width=width, contexts=contexts,
         unit_names=unit_names,
     ):
-        result, stats = price_trace(trace, engine, [u.latency for u in units])
+        result, stats = price_trace(trace, engine, latencies)
         for space in spaces:
-            cells = trace.post_state.get(space.name)
-            if cells is not None:
-                space.load_state(cells)
+            written = trace.post_state.get(space.name)
+            if written is not None:
+                space.store(*written)
         return result, stats, "replay", trace
 
-    # Miss: capture with one instrumented event run.
-    compiler = TraceCompiler(unit_names, max_transactions=store.capture_limit)
-    result = attempt_with_rollback(
-        lambda: Scheduler(
-            engine._unit_for, trace=compiler, dispatch=engine.dispatch
-        ).run([WarpState(ctx=c, program=program(c)) for c in contexts]),
-        TraceOverflowError,
-        spaces,
-        units,
-    )
-    if result is None:
+    def capture() -> CompiledTrace:
+        compiler = TraceCompiler(unit_names,
+                                 max_transactions=store.capture_limit)
+        _step_warps(program, contexts, engine, compiler)
+        written = {}
+        for space in spaces:
+            cells = space.written()
+            if cells.size:
+                written[space.name] = (cells, space.load(cells))
+        trace = compiler.compile(
+            contexts=contexts,
+            machine=engine.kind,
+            width=width,
+            post_state=written,
+            fingerprint=store.fingerprint,
+        )
+        if not trace.race_free():
+            store.metrics.inc("trace_store.flagged_programs")
+            raise _RacyCapture
+        return trace
+
+    # Every failure rolls the capture back and leaves the launch to the
+    # event scheduler, which raises any error of the program again.
+    trace = attempt_with_rollback(capture, Exception, spaces, units)
+    if trace is None:
         store.note_refusal()
         return None, None, "replay-refused", None
-    trace = compiler.compile(
-        contexts=contexts,
-        machine=engine.kind,
-        width=width,
-        post_state={space.name: space.state() for space in spaces},
-        fingerprint=store.fingerprint,
-    )
-    if not trace.race_free():
-        store.note_refusal()
-        store.metrics.inc("trace_store.flagged_programs")
-        return result, None, "replay-refused", None
     store.insert(key, trace)
-    return result, None, "replay-capture", trace
+    result, stats = price_trace(trace, engine, latencies)
+    return result, stats, "replay-capture", trace

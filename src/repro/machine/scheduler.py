@@ -208,8 +208,6 @@ class Scheduler:
             if isinstance(op, ComputeOp):
                 compute_ops += 1
                 compute_cycles += op.cycles
-                if self._trace is not None:
-                    self._trace.record_compute(ws.ctx, op.cycles)
                 ws.ready += op.cycles
                 makespan = max(makespan, ws.ready)
                 heapq.heappush(heap, (ws.ready, wid))
@@ -271,8 +269,6 @@ class Scheduler:
         if op.num_requests == 0:
             # Fully masked: costs nothing, but the warp took this
             # dispatch turn (round-robin rotation moved past it).
-            if self._trace is not None:
-                self._trace.record_masked(ws.ctx)
             if isinstance(op, ReadOp):
                 ws.pending_send = np.zeros(ws.ctx.num_lanes, dtype=np.float64)
             return
@@ -313,7 +309,7 @@ class Scheduler:
             else:
                 assert isinstance(op, WriteRangeOp)
                 rec = WriteOp(array=op.array, addresses=row, values=op.values[j])
-            self._trace.record(ws.ctx, unit, rec, issue, post_compute=op.compute)
+            self._trace.record(ws.ctx, unit, rec, issue)
         space = op.array.space
         if isinstance(op, ReadRangeOp):
             assert ws.range_values is not None

@@ -16,14 +16,10 @@ it for small runs and debugging, not for large sweeps.  Pass
 :class:`~repro.errors.TraceOverflowError` instead of growing without
 bound.
 
-The recorder also defines the hook surface the scheduler drives:
-:meth:`TraceRecorder.record` (one memory transaction),
-:meth:`TraceRecorder.record_compute` (one warp compute step),
-:meth:`TraceRecorder.record_masked` (one fully-masked memory op) and
-:meth:`TraceRecorder.record_arrival` (one warp reaching a barrier).  The
-base class stores transactions and barrier arrivals; the trace-replay
-compiler (:class:`repro.machine.replay.TraceCompiler`) overrides all
-four to capture complete per-warp operation streams.
+The event scheduler drives three hooks: :meth:`TraceRecorder.record`
+(one memory transaction), :meth:`TraceRecorder.record_arrival` (one
+warp reaching a barrier) and :meth:`TraceRecorder.record_barrier` (one
+barrier release).
 """
 
 from __future__ import annotations
@@ -138,16 +134,8 @@ class TraceRecorder:
         unit: "PipelinedMemoryUnit",
         op: MemoryOp,
         issue: "Issue",
-        *,
-        post_compute: int = 0,
     ) -> None:
-        """Record one warp memory transaction.
-
-        ``post_compute`` is the local-compute time charged to the warp
-        directly after the transaction (nonzero only for fused range
-        rounds); the base recorder does not store it, but subclasses that
-        reconstruct full warp timelines (trace replay) need it.
-        """
+        """Record one warp memory transaction."""
         self._check_capacity(len(self.records))
         self.records.append(
             TransactionRecord(
@@ -165,14 +153,6 @@ class TraceRecorder:
                 dmm_epoch=self._dmm_epoch[ctx.dmm_id],
             )
         )
-
-    def record_compute(self, ctx: "WarpContext", cycles: int) -> None:
-        """One warp compute step (no-op here; replay capture overrides)."""
-
-    def record_masked(self, ctx: "WarpContext") -> None:
-        """One warp dispatching a fully-masked memory op: no transaction
-        and no cost, but a dispatch turn (no-op here; replay capture
-        overrides)."""
 
     def record_arrival(self, ctx: "WarpContext", scope: BarrierScope) -> None:
         """One warp arriving at a barrier.

@@ -5,7 +5,9 @@ picks the evaluator (event, batch, batch fallback, replay capture, hit
 or refusal).  Whatever it picks, the report carries the matching engine
 tag and the event run's numbers, and memory ends in the event run's
 image.  The tests also pin the shared rollback guard: an abandoned
-attempt leaves no stores behind and no undo log open, and
+attempt leaves no stores behind and no undo log open; the replay
+capture, which runs no scheduler and hands every failure (a race, the
+capture cap, a deadlock, a bad address) back to the event run; and
 :func:`reprice`: a replayed launch priced at another latency equals a
 launch at that latency, and touches neither memory nor units.
 """
@@ -16,7 +18,13 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, KernelError
+from repro.errors import (
+    AddressError,
+    ConfigurationError,
+    DeadlockError,
+    KernelError,
+    SpaceMismatchError,
+)
 from repro.machine.engine import reprice
 from repro.machine.replay import default_store, reset_default_store
 from repro.machine.scheduler import Scheduler
@@ -108,6 +116,60 @@ def _racy(a, b, scratch):
     return prog
 
 
+def _mixed_barriers(a, b, scratch):
+    """Warp 0 waits at a DMM barrier while the others wait at a device
+    barrier: neither can ever be released."""
+
+    def prog(warp):
+        old = yield warp.read(b, warp.tids)
+        yield warp.write(b, warp.tids, old + 1.0)
+        yield warp.sync_dmm() if warp.warp_id == 0 else warp.barrier()
+
+    return prog
+
+
+def _bad_address(a, b, scratch):
+    """Warp 1 reads past ``a`` after its read-modify-write of ``b``; the
+    capture has run warps 0 and 1 to completion by then, the event run
+    every warp's write."""
+
+    def prog(warp):
+        old = yield warp.read(b, warp.tids)
+        yield warp.write(b, warp.tids, old + 1.0)
+        if warp.warp_id == 1:
+            yield warp.read(a, warp.tids + len(a))
+
+    return prog
+
+
+def _foreign_space(a, b, scratch):
+    """Each warp then reads memory it cannot see: the other DMM's shared
+    memory on an HMM, another machine's array on a flat one."""
+    foreign = make_dmm().alloc(NUM_THREADS) if scratch is None else None
+
+    def prog(warp):
+        old = yield warp.read(b, warp.tids)
+        yield warp.write(b, warp.tids, old + 1.0)
+        array = scratch[1 - warp.dmm_id] if foreign is None else foreign
+        yield warp.read(array, warp.local_tids)
+
+    return prog
+
+
+def _ranges(a, b, scratch):
+    """Per warp: one read, then a fused read of 3 rounds and a fused
+    write of 2 rounds to the same cells (the later round's value must
+    land); 6 transactions per warp."""
+
+    def prog(warp):
+        yield warp.read(a, warp.tids)
+        rows = np.vstack([warp.tids] * 3)
+        vals = yield warp.read_range(a, rows, compute=2)
+        yield warp.write_range(b, rows[:2], vals[:2] + [[1.0], [2.0]])
+
+    return prog
+
+
 def _build(kind, mode, latency=5):
     """A fresh engine with ``a``, a padded ``b`` and (HMM) shared scratch;
     ``latency`` is the flat unit's or the HMM global unit's."""
@@ -178,7 +240,8 @@ class TestLaunchOutcomes:
         assert stats["captures"] == 1 and stats["hits"] == 1
 
     def test_refusal(self, kind, monkeypatch):
-        """A racy capture is the launch's one event run."""
+        """A racy capture rolls back; the launch runs on the event
+        scheduler once."""
         runs = []
         real_run = Scheduler.run
 
@@ -190,7 +253,7 @@ class TestLaunchOutcomes:
         expected = _launch(kind, "event", _racy)
         _assert_matches(expected, _launch(kind, "replay", _racy),
                         "replay-refused")
-        assert len(runs) == 2  # the event launch and the capture
+        assert len(runs) == 2  # the event launch and the refused one
         stats = default_store().metrics["trace_store"]
         assert stats["refusals"] == stats["flagged_programs"] == 1
         assert stats["captures"] == stats["entries_disk"] == 0
@@ -217,6 +280,93 @@ class TestLaunchOutcomes:
                         _launch(kind, "replay", trace=recorder), "event")
         assert recorder.records
         assert default_store().metrics["trace_store.captures"] == 0
+
+
+@pytest.fixture
+def scheduler_runs(monkeypatch):
+    """Every ``Scheduler.run`` from here on, as the launching engine's
+    memory images at the run's start."""
+    runs = []
+    real_run = Scheduler.run
+
+    def recorded_run(self, warps):
+        engine = self._unit_for.__self__
+        runs.append([space.state() for space in engine.spaces])
+        return real_run(self, warps)
+
+    monkeypatch.setattr(Scheduler, "run", recorded_run)
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["flat", "hmm"])
+class TestSchedulerFreeCapture:
+    """A replay capture steps the warps without the event scheduler.
+    A race-free one runs no ``Scheduler.run``; every other outcome rolls
+    the capture back and runs the launch on the event scheduler once,
+    so it ends exactly as an event launch does: same report, or same
+    error, and the same memory image."""
+
+    def test_race_free_capture_runs_no_scheduler(self, kind, scheduler_runs):
+        expected = _launch(kind, "event")
+        del scheduler_runs[:]
+        _assert_matches(expected, _launch(kind, "replay"), "replay-capture")
+        assert scheduler_runs == []
+
+    def test_racy_capture_rolls_back_before_its_one_event_run(
+        self, kind, scheduler_runs
+    ):
+        expected = _launch(kind, "event", _racy)
+        eng, a, b, scratch = _build(kind, "replay")
+        before = [space.state() for space in eng.spaces]
+        del scheduler_runs[:]
+        report = eng.launch(_racy(a, b, scratch), NUM_THREADS)
+        assert report.engine == "replay-refused"
+        assert_reports_equal(expected.report, report)
+        assert len(scheduler_runs) == 1
+        for want, got in zip(before, scheduler_runs[0]):
+            np.testing.assert_array_equal(got, want)
+        for want, space in zip(expected.images, eng.spaces):
+            np.testing.assert_array_equal(space.state(), want)
+
+    @pytest.mark.parametrize("make_prog, error", [
+        (_mixed_barriers, DeadlockError),
+        (_bad_address, AddressError),
+        (_foreign_space, SpaceMismatchError),
+    ], ids=["deadlock", "address", "space-mismatch"])
+    def test_error_is_the_event_runs(self, kind, make_prog, error,
+                                     scheduler_runs):
+        ends = {}
+        for mode in ("event", "replay"):
+            eng, a, b, scratch = _build(kind, mode)
+            with pytest.raises(error) as caught:
+                eng.launch(make_prog(a, b, scratch), NUM_THREADS)
+            assert all(space._undo is None for space in eng.spaces)
+            # Every warp's read-modify-write of ``b`` landed once.
+            np.testing.assert_array_equal(b.to_numpy()[:NUM_THREADS],
+                                          np.full(NUM_THREADS, -4.0))
+            ends[mode] = (str(caught.value),
+                          [space.state() for space in eng.spaces])
+        assert ends["replay"][0] == ends["event"][0]
+        for want, got in zip(ends["event"][1], ends["replay"][1]):
+            np.testing.assert_array_equal(got, want)
+        assert len(scheduler_runs) == 2
+        stats = default_store().metrics["trace_store"]
+        assert stats["captures"] == stats["flagged_programs"] == 0
+
+    def test_capture_cap_inside_a_fused_range(self, kind, monkeypatch):
+        """The cap falls inside warp 3's fused write: a cap of exactly
+        the launch's transactions captures, one fewer refuses."""
+        expected = _launch(kind, "event", _ranges)
+        total = expected.report.total_transactions()
+        assert total == 6 * NUM_THREADS // 4
+        for limit, tag in ((total - 1, "replay-refused"),
+                           (total, "replay-capture")):
+            monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", str(limit))
+            reset_default_store()
+            _assert_matches(expected, _launch(kind, "replay", _ranges), tag)
+            stats = default_store().metrics["trace_store"]
+            assert stats["captures"] == (tag == "replay-capture")
+            assert stats["refusals"] == (tag == "replay-refused")
 
 
 @pytest.mark.parametrize("kind", ["flat", "hmm"])

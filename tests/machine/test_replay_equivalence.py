@@ -49,7 +49,7 @@ def isolated_store(tmp_path, monkeypatch):
 
 
 class TestFlatEquivalence:
-    """Flat DMM/UMM: capture run and warm hits match the event engine."""
+    """Flat DMM/UMM: capture and warm hits match the event engine."""
 
     @pytest.mark.parametrize("machine_cls", [DMM, UMM])
     @pytest.mark.parametrize("kernel", ["sum", "prefix_sums"])
@@ -166,7 +166,8 @@ class TestRefusals:
     def test_non_oblivious_kernel_refused(self):
         """A kernel whose trace depends on the schedule (the racy
         histogram: warps read-modify-write shared bins) is refused, and
-        its capture run is the exact event run."""
+        the launch runs on the event engine after its capture rolls
+        back."""
         params = HMMParams(num_dmms=4, width=8, global_latency=16)
         values = RNG.integers(0, 4, 64).astype(float)
         want, expected = hmm_histogram_racy(HMM(params).engine(), values,
@@ -219,17 +220,12 @@ class TestRefusals:
             m.sum(X64, 16)
 
     def test_trace_compiler_overflow_raises(self):
-        eng = MachineEngine(MP(width=4, latency=5), DMMBankPolicy(),
-                            name="dmm")
-        a = eng.alloc(64, "a")
-        compiler = TraceCompiler(("mem",), max_transactions=2)
-
-        def prog(warp):
-            for _ in range(4):
-                yield warp.read(a, warp.tids)
-
-        with pytest.raises(TraceOverflowError):
-            eng.launch(prog, 4, trace=compiler)
+        """The cap counts a fused range's rounds, not its one op."""
+        compiler = TraceCompiler(("mem",), max_transactions=3)
+        compiler.memory(0, 0, np.arange(4), True)
+        compiler.range(0, 0, np.zeros((2, 4), dtype=np.int64), True, 0)
+        with pytest.raises(TraceOverflowError, match="3"):
+            compiler.range(1, 0, np.zeros((1, 4), dtype=np.int64), False, 0)
 
 
 class TestObliviousnessSelfCheck:

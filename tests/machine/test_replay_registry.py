@@ -4,7 +4,8 @@ certificate.
 No list of kernel modules decides whether a launch may replay.  Every
 keyable program is eligible; its capture is stored only when
 :meth:`~repro.machine.replay.CompiledTrace.race_free` holds, and a racy
-capture keeps its own event run, tagged ``"replay-refused"``.  So the
+capture rolls back and the launch runs on the event scheduler, tagged
+``"replay-refused"``.  So the
 data-dependent kernels (sort, merge, histogram, compaction, SpMV,
 gather, permutation, BFS) replay wherever their launch is race-free,
 bit-identical to the event engine, and the conflict-free suite keeps
@@ -275,8 +276,8 @@ def test_bfs_refuses_only_its_racy_expand_launches(dispatch, reports):
 
 
 def test_racy_histogram_is_refused_in_one_run(monkeypatch):
-    """A racy capture is the launch's event run: refused, counted once,
-    and nothing stored."""
+    """A racy capture rolls back and the launch runs on the event
+    scheduler once: refused, counted once, and nothing stored."""
     runs = []
     real_run = Scheduler.run
 

@@ -1,7 +1,8 @@
 """Differential property test of replay's per-launch race certificate.
 
 Hypothesis draws small warp programs: random lane addresses and masks,
-reads and writes (some addressed through the values just read),
+reads and writes (some addressed through the values just read, every
+write carrying them),
 partial warps, DMM-scope and device-scope barriers, compute steps and
 warps that stop early, on the DMM, the UMM and the HMM.  For each:
 
@@ -12,6 +13,14 @@ warps that stop early, on the DMM, the UMM and the HMM.  For each:
   event run at every latency in ``LATENCIES`` under FIFO and
   round-robin dispatch: cycles, every ``UnitStats``, memory image;
 * a racy launch is refused, equals the event run, and stores nothing.
+
+The capture steps warps barrier to barrier without the scheduler, so
+two more properties hold it to event runs under every dispatch and
+with pipelining off:
+
+* its certificate equals ``detect_races() == []`` on an event run;
+* the capture launch's own report and memory image equal that event
+  run's.
 """
 
 import os
@@ -107,28 +116,33 @@ def _program(case, flat, shared):
                     addrs = (addrs + last.astype(np.int64)) % CELLS
                 mask = np.asarray(step["masks"][me][:warp.num_lanes])
                 if step["write"][me]:
-                    yield warp.write(array, addrs, 10.0 * me + i, mask=mask)
+                    # The values written carry the last values read, so a
+                    # read that saw another store shows in the image.
+                    yield warp.write(array, addrs, last + 10.0 * me + i,
+                                     mask=mask)
                 else:
                     last = yield warp.read(array, addrs, mask=mask)
 
     return program
 
 
-def _launch(case, mode, latency, dispatch="fifo", trace=None):
+def _launch(case, mode, latency, dispatch="fifo", trace=None,
+            pipelined=True):
     """One launch of ``case`` on a fresh engine:
     ``(report, memory image, engine)``."""
     init = np.asarray(case["init"], dtype=float)
     if case["machine"] == "hmm":
         eng = HMMEngine(HMMParams(num_dmms=2, width=WIDTH,
                                   global_latency=latency, shared_latency=2),
-                        dispatch=dispatch, mode=mode)
+                        dispatch=dispatch, mode=mode, pipelined=pipelined)
         flat = eng.global_from(init, "g")
         shared = eng.alloc_shared_all(CELLS, "s")
     else:
         policy = DMMBankPolicy() if case["machine"] == "dmm" \
             else UMMGroupPolicy()
         eng = MachineEngine(MachineParams(width=WIDTH, latency=latency),
-                            policy, dispatch=dispatch, mode=mode)
+                            policy, dispatch=dispatch, mode=mode,
+                            pipelined=pipelined)
         flat = eng.array_from(init, "g")
         shared = [flat]
     report = eng.launch(_program(case, flat, shared), case["threads"],
@@ -180,6 +194,41 @@ def test_certificate_agrees_with_event_runs(case):
     check(case)
 
 
+def _capture_vs_event(case, dispatch, pipelined):
+    """An event run with a race recorder and a capture launch of
+    ``case`` on an empty store: ``(event, capture, race_free)``."""
+    with mock.patch.dict(os.environ, {"REPRO_STORE_TRACE": "off"}):
+        reset_default_store()
+        try:
+            recorder = TraceRecorder()
+            event = _launch(case, "event", LATENCIES[1], dispatch,
+                            trace=recorder, pipelined=pipelined)
+            capture = _launch(case, "replay", LATENCIES[1], dispatch,
+                              pipelined=pipelined)
+            return event, capture, recorder.detect_races() == []
+        finally:
+            reset_default_store()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=CASES, dispatch=st.sampled_from(["fifo", "round-robin"]),
+       pipelined=st.booleans())
+def test_scheduler_free_certificate_equals_event_race_detection(
+    case, dispatch, pipelined
+):
+    event, capture, race_free = _capture_vs_event(case, dispatch, pipelined)
+    assert capture[0].engine == (
+        "replay-capture" if race_free else "replay-refused")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=CASES, dispatch=st.sampled_from(["fifo", "round-robin"]),
+       pipelined=st.booleans())
+def test_capture_launch_equals_event_run(case, dispatch, pipelined):
+    event, capture, _ = _capture_vs_event(case, dispatch, pipelined)
+    _assert_same(event, capture)
+
+
 def _read_step(masks):
     return {"op": "mem", "write": [False] * MAX_WARPS, "shared": False,
             "indirect": False, "addrs": [[0] * WIDTH] * MAX_WARPS,
@@ -203,3 +252,35 @@ MASKED_TURN = {
 def test_fully_masked_op_takes_a_round_robin_turn(backend, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", backend)
     check(MASKED_TURN)
+
+
+def _mem(writers, addrs):
+    """A memory step: warps in ``writers`` write, the others read; warp
+    ``i`` addresses ``addrs[i]`` with every lane."""
+    return {"op": "mem", "write": [i in writers for i in range(MAX_WARPS)],
+            "shared": False, "indirect": False, "addrs": addrs,
+            "masks": [[True] * WIDTH] * MAX_WARPS}
+
+
+CELL7 = [7] * WIDTH
+
+#: Warp 1 writes cells 4-7; after a device barrier warp 0 reads them and
+#: writes what it read to cells 0-3.  Race-free only because of the
+#: barrier: a capture that let warp 0 past it before warp 1's store
+#: would write stale values.
+BARRIER_HANDOFF = {
+    "machine": "dmm", "threads": 2 * WIDTH, "stops": [0] * MAX_WARPS,
+    "init": list(range(CELLS)),
+    "steps": [_mem({1}, [[0] * WIDTH, [4, 5, 6, 7], CELL7, CELL7]),
+              {"op": "barrier"},
+              _mem(set(), [[4, 5, 6, 7], CELL7, CELL7, CELL7]),
+              _mem({0}, [[0, 1, 2, 3], CELL7, CELL7, CELL7])],
+}
+
+
+@pytest.mark.parametrize("dispatch", ["fifo", "round-robin"])
+def test_capture_reads_what_a_barrier_published(dispatch):
+    event, capture, race_free = _capture_vs_event(
+        BARRIER_HANDOFF, dispatch, True)
+    assert race_free and capture[0].engine == "replay-capture"
+    _assert_same(event, capture)

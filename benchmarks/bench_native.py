@@ -74,7 +74,8 @@ def _isolated_store(tmp_path):
 def _capture_trace():
     """Capture one HMM sum trace and return the stored object."""
     params = HMMParams(**PARAMS)
-    HMM(params, mode="replay").sum(VALUES, NUM_THREADS)  # capture
+    for _ in range(2):  # the second capture stores the trace
+        HMM(params, mode="replay").sum(VALUES, NUM_THREADS)
     traces = [trace for _, trace in default_store().store_namespace.scan()]
     assert traces, "trace capture did not land in the store"
     return traces[0]

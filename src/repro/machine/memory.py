@@ -14,12 +14,14 @@ bank / address-group rules apply to).
 
 from __future__ import annotations
 
+import array
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro.errors import AddressError, AllocationError
+from repro.machine.banks import _sorted_distinct
 
 __all__ = ["MemorySpace", "ArrayHandle", "attempt_with_rollback"]
 
@@ -57,7 +59,9 @@ class MemorySpace:
         self.space_id = space_id if space_id is not None else name
         self._cells = np.zeros(0, dtype=np.float64)
         self._brk = 0  # allocation break: first free address
-        self._undo: list[tuple[np.ndarray, np.ndarray]] | None = None
+        #: While logging: every store's addresses and the values they
+        #: held, back to back.
+        self._undo: "tuple[array.array, array.array] | None" = None
 
     # -- allocation ---------------------------------------------------------
     def alloc(self, size: int, name: str = "") -> "ArrayHandle":
@@ -137,6 +141,13 @@ class MemorySpace:
         """
         return self._cells[: self._brk].copy()
 
+    def cells(self) -> np.ndarray:
+        """Read-only view of the allocated cells: :meth:`state` without
+        the copy, valid until the next store or allocation."""
+        view = self._cells[: self._brk]
+        view.flags.writeable = False
+        return view
+
     def begin_undo(self) -> None:
         """Start logging stores so they can be rolled back.
 
@@ -145,7 +156,7 @@ class MemorySpace:
         the overwritten values, and a failed fast path replays the log
         backwards.  Logging stops at :meth:`end_undo` / :meth:`rollback`.
         """
-        self._undo = []
+        self._undo = (array.array("q"), array.array("d"))
 
     def end_undo(self) -> None:
         """Stop logging stores and drop the undo log (attempt succeeded)."""
@@ -154,20 +165,21 @@ class MemorySpace:
     def written(self) -> np.ndarray:
         """Distinct addresses stored to since :meth:`begin_undo`, sorted
         (the cells a trace capture records with their final values)."""
-        if not self._undo:
+        if self._undo is None:
             return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([addrs for addrs, _ in self._undo]))
+        return _sorted_distinct(np.frombuffer(self._undo[0], dtype=np.int64))
 
     def rollback(self) -> None:
-        """Revert every store since :meth:`begin_undo`, newest first.
+        """Revert every store since :meth:`begin_undo`.
 
-        Duplicate addresses within one store share one pre-store value,
-        so replay order within an entry does not matter; entries replay
-        newest-first so overlapping stores unwind correctly.
+        A cell's oldest logged value is its value before the attempt:
+        the log is assigned reversed, so the first occurrence wins.
         """
         undo, self._undo = self._undo, None
-        for addresses, old in reversed(undo or []):
-            self._cells[addresses] = old
+        if undo is not None and undo[0]:
+            addresses = np.frombuffer(undo[0], dtype=np.int64)
+            old = np.frombuffer(undo[1], dtype=np.float64)
+            self._cells[addresses[::-1]] = old[::-1]
 
     # -- raw cell access (engine-side; does not model time) ------------------
     def load(self, addresses: np.ndarray) -> np.ndarray:
@@ -185,7 +197,10 @@ class MemorySpace:
         if addresses.size == 0:
             return
         if self._undo is not None:
-            self._undo.append((addresses, self._cells[addresses]))
+            logged, old = self._undo
+            logged.frombytes(memoryview(
+                np.ascontiguousarray(addresses, dtype=np.int64)).cast("B"))
+            old.frombytes(memoryview(self._cells[addresses]).cast("B"))
         if addresses.size > 1:
             self._cells[addresses[::-1]] = values[::-1]
         else:

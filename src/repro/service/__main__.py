@@ -64,7 +64,7 @@ def _add_query(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--url", default="http://127.0.0.1:8787")
     p.add_argument("--kernel", default="sum", choices=("sum", "convolution"))
     p.add_argument("--model", default="hmm")
-    p.add_argument("--mode", default="batch", choices=MODES)
+    p.add_argument("--mode", default="replay", choices=MODES)
     for name, default in (("n", 1024), ("k", 0), ("p", 64), ("w", 16),
                           ("l", 16), ("d", 8)):
         p.add_argument(f"--{name}", type=int, default=default)

@@ -194,7 +194,7 @@ def _parse_spec(payload: Mapping) -> dict:
     spec: dict[str, Any] = {
         "kernel": _choice_field(payload, "kernel", KERNELS, None),
         "model": _choice_field(payload, "model", MODELS, None),
-        "mode": _choice_field(payload, "mode", MODES, "batch"),
+        "mode": _choice_field(payload, "mode", MODES, "replay"),
         "backend": _choice_field(payload, "backend", BACKENDS, "auto"),
         "seed": _int_field(payload, "seed", default=DEFAULT_SEED, low=0,
                            high=(1 << 63) - 1),

@@ -49,8 +49,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="max configurations to evaluate")
     parser.add_argument("--mode", default="auto",
                         choices=("auto", "event", "batch", "replay"),
-                        help="evaluation engine (auto = replay when the "
-                             "task is oblivious, else batch)")
+                        help="evaluation engine (auto = replay)")
     parser.add_argument("--latencies", type=int, nargs="+",
                         default=list(DEFAULT_LATENCIES), metavar="L",
                         help="latency grid the objective sums over")
@@ -67,9 +66,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list:
         for name in sorted(TASKS):
-            task = TASKS[name]
-            tag = "oblivious" if task.oblivious else "data-dependent"
-            print(f"{name:12s} {task.summary} [{tag}]")
+            print(f"{name:12s} {TASKS[name].summary}")
         return 0
     if not args.task:
         parser.error("a task name (or --list) is required")

@@ -5,9 +5,8 @@ The gather kernel reads its index vector from memory and then accesses
 stored data, so a captured trace is valid for one input only.  Replay
 keys every launch by its memory pre-state, and no warp writes a cell
 another warp touches, so each launch is race-free and an explicit
-``mode="replay"`` replays it exactly.  The tuner's ``"auto"`` mode
-picks the batch engine for this task (``TuneTask.oblivious`` is
-``False``).
+``mode="replay"`` replays it exactly, as does the tuner's ``"auto"``
+mode.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ Tasks:
   replay-backed through the oblivious kernel in
   :mod:`repro.core.kernels.conflict_free`.
 * ``gather`` — data-dependent gather through an index array; axis:
-  thread count.  Not oblivious, so ``"auto"`` picks batch.
+  thread count.  Each launch is race-free, so it replays too: its
+  launch key hashes the index array it reads.
 """
 
 from __future__ import annotations
@@ -75,8 +76,6 @@ class TuneTask:
 
     name: str
     summary: str
-    #: Memory-access oblivious: ``"auto"`` picks replay, else batch.
-    oblivious: bool
     default_shape: dict
     space_fn: Callable[[dict], ParamSpace]
     baseline_fn: Callable[[dict], dict]
@@ -309,7 +308,6 @@ TASKS: dict[str, TuneTask] = {
     "transpose": TuneTask(
         name="transpose",
         summary="tiled HMM transpose; search per-tile padding and skew",
-        oblivious=True,
         default_shape={"w": 8, "d": 4, "m": 32},
         space_fn=_transpose_space,
         baseline_fn=lambda shape: {"pad": 0, "skew": 0},
@@ -319,7 +317,6 @@ TASKS: dict[str, TuneTask] = {
     "sum": TuneTask(
         name="sum",
         summary="flat UMM sum; search thread count and dispatch",
-        oblivious=True,
         default_shape={"w": 8, "n": 2048},
         space_fn=_sum_space,
         baseline_fn=lambda shape: {
@@ -330,7 +327,6 @@ TASKS: dict[str, TuneTask] = {
     "sort": TuneTask(
         name="sort",
         summary="flat DMM bitonic sort; search network layout and dispatch",
-        oblivious=True,
         default_shape={"w": 8, "n": 256},
         space_fn=_sort_space,
         baseline_fn=lambda shape: {"network": "naive", "dispatch": "fifo"},
@@ -341,7 +337,6 @@ TASKS: dict[str, TuneTask] = {
         name="permutation",
         summary="flat DMM offline permutation; search round schedule "
         "and dispatch (replay-backed)",
-        oblivious=True,
         default_shape={"w": 8, "n": 512},
         space_fn=_permutation_space,
         baseline_fn=lambda shape: {"schedule": "naive", "dispatch": "fifo"},
@@ -351,7 +346,6 @@ TASKS: dict[str, TuneTask] = {
     "gather": TuneTask(
         name="gather",
         summary="data-dependent gather; search thread count",
-        oblivious=False,
         default_shape={"w": 8, "n": 512},
         space_fn=_gather_space,
         baseline_fn=lambda shape: {"p": _gather_space(shape).axis("p").values[0]},

@@ -42,7 +42,7 @@ class TestRouting:
         # Same spec, one spelled with explicit defaults.
         client.cost("sum", "hmm", {"n": 16384, "p": 64})
         client.cost("sum", "hmm", {"n": 16384, "p": 64, "w": 16, "l": 16,
-                                   "d": 8}, mode="batch")
+                                   "d": 8}, mode="replay")
         after = client.metrics()["cluster"]["router"]["forwards"]
         grew = [url for url in after if after[url] - before.get(url, 0) >= 2]
         assert len(grew) == 1

@@ -2,13 +2,31 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.machine.engine import MachineEngine
 from repro.machine.hmm import HMMEngine
 from repro.machine.policy import DMMBankPolicy, UMMGroupPolicy
+from repro.machine.replay import reset_default_store
 from repro.params import HMMParams, MachineParams
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_store_root(tmp_path_factory):
+    """Tests that name no store directory share one per session, not
+    the checkout's: a default-mode service request replays, and the
+    trace store's contents decide a response's engine tag."""
+    if "REPRO_STORE_DIR" in os.environ:
+        yield
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_STORE_DIR", str(tmp_path_factory.mktemp("store")))
+        reset_default_store()
+        yield
+    reset_default_store()
 
 
 @pytest.fixture
@@ -48,6 +66,18 @@ def make_hmm(
         ),
         **kw,
     )
+
+
+def admit(launch):
+    """Make ``launch()`` once, so the trace store has seen its key.
+
+    The store keeps a capture the second time its key is captured.  A
+    test that expects a launch's capture to be stored, and later
+    launches to hit it, first makes the same launch through here.  The
+    admitting launch is itself a capture: it counts one capture and one
+    store miss.  Returns what ``launch`` returns.
+    """
+    return launch()
 
 
 def assert_reports_equal(expected, actual) -> None:

@@ -10,6 +10,7 @@ unkeyable programs and capture overflow.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,7 +19,9 @@ import pytest
 from repro import DMM, HMM, UMM, HMMParams, MachineParams
 from repro.errors import ConfigurationError, TraceOverflowError
 from repro.core.kernels.histogram import hmm_histogram_racy
+from repro.machine import replay as replay_mod
 from repro.machine.engine import MachineEngine
+from repro.machine.memory import MemorySpace
 from repro.machine.policy import DMMBankPolicy
 from repro.machine.replay import (
     CompiledTrace,
@@ -30,7 +33,7 @@ from repro.machine.replay import (
 from repro.machine.trace import TraceRecorder
 from repro.params import MachineParams as MP
 
-from conftest import assert_reports_equal
+from conftest import admit, assert_reports_equal
 
 RNG = np.random.default_rng(20130520)
 X256 = RNG.standard_normal(256)
@@ -58,21 +61,28 @@ class TestFlatEquivalence:
         for latency in (2, 5, 17):
             m = machine_cls(MachineParams(width=4, latency=latency))
             baselines[latency] = getattr(m, kernel)(X256, 32)
-        for i, latency in enumerate((2, 5, 17)):
+
+        def launch(latency):
             m = machine_cls(MachineParams(width=4, latency=latency),
                             mode="replay")
-            value, report = getattr(m, kernel)(X256, 32)
+            return getattr(m, kernel)(X256, 32)
+
+        admit(lambda: launch(2))
+        for i, latency in enumerate((2, 5, 17)):
+            value, report = launch(latency)
             exp_value, exp_report = baselines[latency]
             np.testing.assert_array_equal(np.asarray(value),
                                           np.asarray(exp_value))
             assert_reports_equal(exp_report, report)
             assert report.engine == ("replay-capture" if i == 0 else "replay")
         stats = default_store().metrics["trace_store"]
-        assert stats["captures"] == 1
+        assert stats["captures"] == 2
         assert stats["hits"] == 2
         assert stats["flagged_programs"] == 0
 
     def test_convolution_matches(self):
+        admit(lambda: DMM(MachineParams(width=4, latency=3),
+                          mode="replay").convolve(X64[:8], X256, 32))
         for latency in (3, 9):
             ev = DMM(MachineParams(width=4, latency=latency)).convolve(
                 X64[:8], X256, 32)
@@ -80,7 +90,7 @@ class TestFlatEquivalence:
                      mode="replay").convolve(X64[:8], X256, 32)
             np.testing.assert_array_equal(ev[0], rp[0])
             assert_reports_equal(ev[1], rp[1])
-        assert default_store().metrics["trace_store.captures"] == 1
+        assert default_store().metrics["trace_store.captures"] == 2
 
     def test_partial_warp_round_robin_dispatch(self):
         """37 threads (ragged last warp) under round-robin dispatch."""
@@ -106,10 +116,14 @@ class TestFlatEquivalence:
 
     def test_memory_effects_restored_on_hit(self):
         """A replayed (not re-executed) launch still lands its writes."""
+        def launch():
+            return DMM(MachineParams(width=4, latency=5),
+                       mode="replay").sum(X256, 32)
+
+        admit(launch)
         results = []
         for _ in range(2):
-            m = DMM(MachineParams(width=4, latency=5), mode="replay")
-            value, report = m.sum(X256, 32)
+            value, report = launch()
             results.append((value, report.engine))
         assert results[0][0] == results[1][0]
         assert results[0][1] == "replay-capture"
@@ -141,6 +155,7 @@ class TestHMMEquivalence:
         params128 = HMMParams(num_dmms=4, width=8, global_latency=128)
         ev16 = HMM(params16).convolve(x, y, 32)
         ev128 = HMM(params128).convolve(x, y, 32)
+        admit(lambda: HMM(params16, mode="replay").convolve(x, y, 32))
         rp16 = HMM(params16, mode="replay").convolve(x, y, 32)
         rp128 = HMM(params128, mode="replay").convolve(x, y, 32)
         np.testing.assert_array_equal(ev16[0], rp16[0])
@@ -148,7 +163,7 @@ class TestHMMEquivalence:
         assert_reports_equal(ev16[1], rp16[1])
         assert_reports_equal(ev128[1], rp128[1])
         stats = default_store().metrics["trace_store"]
-        assert stats["captures"] == 1 and stats["hits"] == 1
+        assert stats["captures"] == 2 and stats["hits"] == 1
 
     def test_batch_event_replay_agree(self):
         """The three engines are one cost model in three implementations."""
@@ -251,6 +266,7 @@ class TestObliviousnessSelfCheck:
         """On zeros both warps write ``out[0]``: refused.  On ``arange``
         every lane writes its own cell: captured, then replayed."""
         zeros, ramp = np.zeros(16), np.arange(16, dtype=float)
+        admit(lambda: self._launch("replay", ramp))
         for fill, tags in ((zeros, ["replay-refused"] * 2),
                            (ramp, ["replay-capture", "replay"])):
             for latency, tag in zip((5, 17), tags):
@@ -261,7 +277,7 @@ class TestObliviousnessSelfCheck:
                 np.testing.assert_array_equal(got, want)
         stats = default_store().metrics["trace_store"]
         assert stats["refusals"] == stats["flagged_programs"] == 2
-        assert stats["captures"] == stats["entries_disk"] == 1
+        assert stats["captures"] == 2 and stats["entries_disk"] == 1
 
     def test_oblivious_program_not_flagged_by_new_data(self):
         for fill in (0.0, 7.0):
@@ -282,6 +298,7 @@ class TestTraceMemoryTier:
         return m.sum(values, 32)[1]
 
     def test_capture_enters_memory_on_first_lookup(self):
+        admit(lambda: self._sum(5))
         assert self._sum(5).engine == "replay-capture"
         store = default_store()
         stats = store.metrics["trace_store"]
@@ -296,6 +313,7 @@ class TestTraceMemoryTier:
     def test_memory_only_store_keeps_the_capture(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_TRACE", "off")
         reset_default_store()
+        admit(lambda: self._sum(5))
         assert self._sum(5).engine == "replay-capture"
         store = default_store()
         stats = store.metrics["trace_store"]
@@ -311,12 +329,14 @@ class TestTraceMemoryTier:
         gc.collect()
         gc.disable()
         try:
+            admit(lambda: self._sum(5))
             self._sum(5)
             self._sum(9)  # disk hit: decoded, priced, kept in memory
             key, = namespace.keys()
             ref = weakref.ref(namespace.get_memory(key))
             assert ref() is not None and ref()._evaluator is not None
             other = X256[::-1].copy()
+            admit(lambda: self._sum(5, other))
             self._sum(5, other)
             assert self._sum(9, other).engine == "replay"  # evicts key
             assert namespace.get_memory(key) is None
@@ -329,6 +349,8 @@ class TestTraceStorePersistence:
     """Disk round-trips, cross-process sharing, and the off switch."""
 
     def test_disk_hit_after_singleton_reset(self):
+        admit(lambda: DMM(MachineParams(width=4, latency=5),
+                          mode="replay").sum(X256, 32))
         m = DMM(MachineParams(width=4, latency=5), mode="replay")
         m.sum(X256, 32)
         assert default_store().metrics["trace_store.entries_disk"] == 1
@@ -350,6 +372,8 @@ class TestTraceStorePersistence:
         assert stats["captures"] == 1 and stats["entries_disk"] == 0
 
     def test_compiled_trace_npz_roundtrip(self, tmp_path):
+        admit(lambda: DMM(MachineParams(width=4, latency=5),
+                          mode="replay").sum(X64, 16))
         m = DMM(MachineParams(width=4, latency=5), mode="replay")
         m.sum(X64, 16)
         store = default_store()
@@ -402,10 +426,157 @@ class TestLaunchKey:
 
     def test_key_stable_across_runs(self):
         """Mutable library memo caches must not churn the key."""
-        m = HMM(HMMParams(num_dmms=8, width=16, global_latency=16),
-                mode="replay")
-        m.sum(X256, 64)  # populates repro.machine.warp._FULL_MASKS etc.
+        def launch():
+            return HMM(HMMParams(num_dmms=8, width=16, global_latency=16),
+                       mode="replay").sum(X256, 64)
+
+        admit(launch)  # populates repro.machine.warp._FULL_MASKS etc.
+        launch()
         m2 = HMM(HMMParams(num_dmms=8, width=16, global_latency=128),
                  mode="replay")
         _, report = m2.sum(X256, 64)
         assert report.engine == "replay"
+
+    def test_key_hashes_the_cells_state_copies(self, monkeypatch):
+        """The key hashes a view of the allocated cells: the bytes of
+        :meth:`MemorySpace.state`, without its copy, so no key changes."""
+        view = self._key(5, X64)
+        monkeypatch.setattr(MemorySpace, "cells",
+                            lambda space: space.state().tobytes())
+        assert self._key(5, X64) == view
+
+    def test_cells_is_a_read_only_view(self):
+        eng = MachineEngine(MP(width=4, latency=5), DMMBankPolicy(),
+                            name="dmm")
+        eng.array_from(X64, "a")
+        cells = eng.space.cells()
+        assert np.shares_memory(cells, eng.space._cells)
+        assert not cells.flags.writeable
+        np.testing.assert_array_equal(cells, eng.space.state())
+
+
+@pytest.fixture(params=["disk", "memory"])
+def tier(request, monkeypatch):
+    """The trace store with its disk tier, or memory-only."""
+    if request.param == "memory":
+        monkeypatch.setenv("REPRO_STORE_TRACE", "off")
+    reset_default_store()
+    return request.param
+
+
+class TestTraceAdmission:
+    """A trace is stored the second time its key is captured, in either
+    tier: a launch captured once writes nothing."""
+
+    def _sum(self, values=X256, latency=5):
+        m = DMM(MachineParams(width=4, latency=latency), mode="replay")
+        return m.sum(values, 32)[1]
+
+    def _stored(self):
+        """``(entries, puts)``: the tier's files or LRU entries, and
+        store puts.  A disk hit also enters the LRU; that is no write."""
+        store = default_store()
+        stats = store.metrics["trace_store"]
+        entries = stats["entries_disk" if store.persist
+                        else "entries_memory"]
+        return entries, store.store_namespace.metrics["store.trace.puts"]
+
+    def test_first_capture_stores_nothing(self, tier):
+        assert self._sum().engine == "replay-capture"
+        assert self._stored() == (0, 0)
+        assert default_store().metrics["trace_store.captures"] == 1
+        if tier == "disk":
+            assert not list(default_store().directory.glob("*.npz"))
+
+    def test_second_capture_stores_one(self, tier):
+        self._sum()
+        assert self._sum(latency=9).engine == "replay-capture"
+        assert self._stored() == (1, 1)
+        files = list(default_store().directory.glob("*.npz"))
+        assert len(files) == (tier == "disk")
+
+    def test_hit_stores_nothing(self, tier):
+        self._sum()
+        self._sum()
+        for latency in (9, 13):
+            assert self._sum(latency=latency).engine == "replay"
+        assert self._stored() == (1, 1)
+
+    def test_first_captures_are_bounded_oldest_first(self, tier,
+                                                     monkeypatch):
+        monkeypatch.setattr(replay_mod, "_FIRST_CAPTURE_KEYS", 2)
+        a, b, c = X256, X256 + 1.0, X256 + 2.0
+        for values in (a, b, c):
+            self._sum(values)
+        assert self._stored() == (0, 0)
+        self._sum(a)  # forgotten: a first capture again
+        assert self._stored() == (0, 0)
+        assert self._sum(c).engine == "replay-capture"
+        assert self._stored() == (1, 1)
+        assert self._sum(c).engine == "replay"
+
+    def test_clear_forgets_first_captures(self, tier):
+        self._sum()
+        default_store().clear()
+        self._sum()
+        assert self._stored() == (0, 0)
+
+    def test_cold_tune_certifies_and_prices_identically(self, tier):
+        """A cold replay tune captures each launch once and stores only
+        the verdicts' second captures; it prices and certifies as an
+        event tune and as a warm replay tune do."""
+        from repro.tuner import tune
+
+        def run(mode):
+            return tune("transpose", shape={"w": 4, "d": 2, "m": 8},
+                        latencies=(3, 9), mode=mode, cache=False)
+
+        cold = run("replay")
+        assert cold.certificate == "conflict-free"
+        stored = self._stored()[0]
+        assert stored == len({str(cold.baseline.config),
+                              str(cold.best.config)})
+        warm = run("replay")
+        event = run("event")
+        for report in (warm, event):
+            assert report.history == cold.history
+            assert report.best.config == cold.best.config
+            assert report.best.cycles == cold.best.cycles
+            assert report.certificate == cold.certificate
+            assert report.advice_after == cold.advice_after
+
+
+class TestCaptureMemory:
+    """A cold replay ``/v1/cost`` evaluation, as the service runs it on
+    the native backend, allocates at most ``MEMORY_MULTIPLE`` times
+    what the batch engine's does."""
+
+    #: The ``cost-cold`` shapes whose replay peak is highest.
+    WORST = [
+        dict(kernel="sum", model="dmm", n=8192, k=0, p=1024, w=16, l=16,
+             d=8, backend="native"),
+        dict(kernel="convolution", model="hmm", n=1024, k=16, p=2048,
+             w=16, l=8, d=8, backend="native"),
+    ]
+    MEMORY_MULTIPLE = 3
+
+    @pytest.mark.parametrize("spec", WORST, ids=["dmm-sum", "hmm-conv"])
+    def test_peak_within_a_multiple_of_batch(self, spec):
+        from repro.native import native_available
+        from repro.service.oracle import evaluate_point
+
+        if not native_available():
+            pytest.skip("no C compiler: the native backend is unavailable")
+
+        def peak(mode, seed):
+            tracemalloc.start()
+            try:
+                evaluate_point(dict(spec, mode=mode, seed=seed))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for mode in ("batch", "replay"):  # lazy imports and caches
+            evaluate_point(dict(spec, mode=mode, seed=1))
+        batch, replay = peak("batch", 2), peak("replay", 3)
+        assert replay <= self.MEMORY_MULTIPLE * batch, (replay, batch)

@@ -43,7 +43,7 @@ from repro.machine.replay import (
 from repro.machine.scheduler import Scheduler
 from repro.tuner.datadep import gather_kernel
 
-from conftest import assert_reports_equal, make_dmm, make_hmm
+from conftest import admit, assert_reports_equal, make_dmm, make_hmm
 
 
 @pytest.fixture(autouse=True)
@@ -95,6 +95,8 @@ class TestReplayBehavior:
     def test_cf_sort_captures_then_replays(self, rng):
         vals = rng.normal(size=64)
         cycles = {}
+        admit(lambda: flat_cf_sort(make_dmm(width=8, latency=3,
+                                            mode="replay"), vals, 16))
         for l in (3, 17):
             eng = make_dmm(width=8, latency=l, mode="replay")
             out, report = flat_cf_sort(eng, vals, 16)
@@ -105,7 +107,7 @@ class TestReplayBehavior:
             _, event = flat_cf_sort(make_dmm(width=8, latency=l), vals, 16)
             assert report.cycles == event.cycles
         stats = default_store().metrics["trace_store"]
-        assert stats["captures"] == 1
+        assert stats["captures"] == 2
         assert stats["hits"] >= 1
         assert stats["refusals"] == 0
 
@@ -117,6 +119,9 @@ class TestReplayBehavior:
         vals = rng.normal(size=n)
         perm = rng.permutation(n).astype(np.int64)
         for schedule in ("naive", "conflict-free"):
+            admit(lambda: flat_cf_permutation(
+                make_dmm(width=w, latency=5, mode="replay"), vals, perm, 16,
+                schedule=schedule))
             for _ in range(2):
                 eng = make_dmm(width=w, latency=5, mode="replay")
                 out, report = flat_cf_permutation(eng, vals, perm, 16,
@@ -124,7 +129,7 @@ class TestReplayBehavior:
                 assert np.allclose(out[perm], vals)
                 assert report.engine in ("replay-capture", "replay")
         stats = default_store().metrics["trace_store"]
-        assert stats["captures"] == 2  # one per schedule
+        assert stats["captures"] == 4  # two per schedule
         assert stats["hits"] == 2
         assert stats["refusals"] == 0
 
@@ -140,6 +145,7 @@ class TestReplayBehavior:
              np.sort(np.concatenate([a, b]))),
         )
         for run, want in runs:
+            admit(lambda: run(make_dmm(width=8, latency=5, mode="replay")))
             for l, tag in ((5, "replay-capture"), (23, "replay")):
                 out, report = run(make_dmm(width=8, latency=l, mode="replay"))
                 _, event = run(make_dmm(width=8, latency=l))
@@ -147,7 +153,7 @@ class TestReplayBehavior:
                 assert report.engine == tag
                 assert_reports_equal(event, report)
         stats = default_store().metrics["trace_store"]
-        assert stats["captures"] == 2 and stats["hits"] == 2
+        assert stats["captures"] == 4 and stats["hits"] == 2
         assert stats["refusals"] == stats["flagged_programs"] == 0
 
     def test_registry_presumption_backed_by_certificate(self):
@@ -232,6 +238,7 @@ def test_formerly_refused_kernels_replay_equal_to_event(name, dispatch,
     """Same output, cycles and every ``UnitStats`` as the event engine at
     two latencies; the second latency re-prices the stored traces."""
     machine, run = KERNELS[name]
+    admit(lambda: _launches(machine, run, "replay", 3, dispatch, reports))
     for latency, tag in ((3, "replay-capture"), (33, "replay")):
         want, expected = _launches(machine, run, "event", latency, dispatch,
                                    reports)
@@ -260,6 +267,7 @@ def test_bfs_refuses_only_its_racy_expand_launches(dispatch, reports):
             GRAPH, 0, 16)
         return dist, cycles, reports[first:]
 
+    admit(lambda: bfs("replay", 3))
     for latency in (3, 33):
         want, want_cycles, expected = bfs("event", latency)
         got, cycles, actual = bfs("replay", latency)
@@ -272,7 +280,7 @@ def test_bfs_refuses_only_its_racy_expand_launches(dispatch, reports):
         assert refused and all(x.startswith("bfs-expand-") for x in refused)
         assert any(a.engine == "replay" for a in actual) == (latency == 33)
     stats = default_store().metrics["trace_store"]
-    assert stats["refusals"] == stats["flagged_programs"] == 2 * len(refused)
+    assert stats["refusals"] == stats["flagged_programs"] == 3 * len(refused)
 
 
 def test_racy_histogram_is_refused_in_one_run(monkeypatch):

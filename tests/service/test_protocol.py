@@ -34,7 +34,7 @@ class TestCostValidation:
     def test_happy_path_defaults(self):
         spec = parse_cost_request(_cost())
         assert spec == {
-            "kernel": "sum", "model": "hmm", "mode": "batch",
+            "kernel": "sum", "model": "hmm", "mode": "replay",
             "seed": DEFAULT_SEED, "n": 1024, "k": 0, "p": 64,
             "w": 16, "l": 16, "d": 8, "backend": "auto",
         }
@@ -156,7 +156,7 @@ class TestSweepValidation:
 
     def test_expansion_order_and_meta(self):
         meta, specs = parse_sweep_request(self._sweep())
-        assert meta == {"kernel": "sum", "model": "hmm", "mode": "batch",
+        assert meta == {"kernel": "sum", "model": "hmm", "mode": "replay",
                         "seed": DEFAULT_SEED}
         assert [(s["n"], s["l"]) for s in specs] == [
             (512, 16), (512, 32), (1024, 16), (1024, 32),

@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.terms import Params
 from repro.experiments.table1 import conv_task, sum_task
+from repro.machine.replay import reset_default_store
 from repro.metrics import Registry
 from repro.service.client import AsyncServiceClient, ServiceClient, ServiceError
 from repro.service.protocol import DEFAULT_SEED
@@ -28,9 +29,16 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 @pytest.fixture(scope="module")
-def server():
-    with BackgroundServer(cache=False) as srv:
-        yield srv
+def server(tmp_path_factory):
+    # A private trace store: a replay answer's engine tag depends on
+    # what the process captured before.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_STORE_TRACE_DIR",
+                  str(tmp_path_factory.mktemp("traces")))
+        reset_default_store()
+        with BackgroundServer(cache=False) as srv:
+            yield srv
+        reset_default_store()
 
 
 @pytest.fixture()
@@ -69,7 +77,7 @@ class TestGoldenEquivalence:
         body = client.cost("sum", "hmm", {"n": 1024, "p": 64, "l": 128})
         q = Params(n=1024, k=1, p=64, w=16, l=128, d=8)
         cycles, extra = sum_task(q, model="hmm", seed=DEFAULT_SEED,
-                                 mode="batch")
+                                 mode="replay")
         assert body["cycles"] == cycles
         assert body["engine"] == extra["engine"]
 

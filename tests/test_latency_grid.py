@@ -31,7 +31,7 @@ from repro.machine.replay import default_store, reset_default_store
 from repro.machine.trace import TraceRecorder
 from repro.service.oracle import CostOracle, evaluate_point, evaluate_points
 
-from conftest import assert_reports_equal
+from conftest import admit, assert_reports_equal
 
 SEED = 7
 LATS = (5, 2, 40, 300)
@@ -191,10 +191,11 @@ class TestSelfCheckAcrossLatency:
         assert _sneaky_launch(300, np.zeros(16)).engine == "replay-refused"
         assert default_store().metrics["trace_store.flagged_programs"] == 2
         ramp = np.arange(16, dtype=float)
+        admit(lambda: _sneaky_launch(2, ramp))
         assert _sneaky_launch(2, ramp).engine == "replay-capture"
         assert _sneaky_launch(300, ramp).engine == "replay"
         stats = default_store().metrics["trace_store"]
-        assert stats["flagged_programs"] == 2 and stats["captures"] == 1
+        assert stats["flagged_programs"] == 2 and stats["captures"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,9 @@ class TestMachineCheckedCertificates:
     def test_all_certificate_tasks_declare_obliviousness(self):
         claimants = [t for t in TASKS.values() if t.conflict_certificate]
         assert {t.name for t in claimants} >= {"sort", "permutation"}
-        assert all(t.oblivious for t in claimants)
+        # No task declares obliviousness any more (``auto`` is replay
+        # for every task); the tests below prove it for each claimant
+        # from its recorded transactions.
 
     def test_sort_winner_certified(self):
         w, n = SORT_SHAPE["w"], SORT_SHAPE["n"]

@@ -414,6 +414,14 @@ i64 repro_slot_counts(
         return -1;
     i64 *bank = buf + max_len;
     memset(bank, 0, (size_t)width * sizeof(i64));
+    /* The paper's widths are powers of two: floor division and modulo
+     * by one are an arithmetic shift and a mask, far cheaper than the
+     * 64-bit division pydiv/pymod pay per address. */
+    int pow2 = width > 0 && (width & (width - 1)) == 0;
+    int shift = 0;
+    while (pow2 && ((i64)1 << shift) < width)
+        shift++;
+    i64 mask = width - 1;
     for (e = 0; e < n_list; e++) {
         i64 op = ops[e];
         i64 lo = addr_off[op];
@@ -430,9 +438,9 @@ i64 repro_slot_counts(
                 buf[m++] = buf[i];
         if (policy == 1) {  /* distinct address groups */
             i64 cnt = 1;
-            i64 g = pydiv(buf[0], width);
+            i64 g = pow2 ? buf[0] >> shift : pydiv(buf[0], width);
             for (i = 1; i < m; i++) {
-                i64 gg = pydiv(buf[i], width);
+                i64 gg = pow2 ? buf[i] >> shift : pydiv(buf[i], width);
                 if (gg != g) {
                     cnt++;
                     g = gg;
@@ -442,12 +450,13 @@ i64 repro_slot_counts(
         } else {  /* max per-bank count of distinct addresses */
             i64 best = 0;
             for (i = 0; i < m; i++) {
-                i64 c = ++bank[pymod(buf[i], width)];
+                i64 b = pow2 ? buf[i] & mask : pymod(buf[i], width);
+                i64 c = ++bank[b];
                 if (c > best)
                     best = c;
             }
             for (i = 0; i < m; i++)
-                bank[pymod(buf[i], width)] = 0;
+                bank[pow2 ? buf[i] & mask : pymod(buf[i], width)] = 0;
             out[e] = best;
         }
     }

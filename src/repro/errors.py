@@ -115,5 +115,6 @@ class TraceOverflowError(ReproError):
     Tracing stores every warp transaction; on large launches that grows
     without bound.  Recorders accept an optional cap and raise this error
     instead of silently exhausting memory; the trace-replay capture path
-    catches it and falls back to an untraced event run.
+    catches it and falls back to an untraced event run.  A capture whose
+    race certificate key would not fit in 62 bits raises it too.
     """

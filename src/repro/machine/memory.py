@@ -27,6 +27,10 @@ __all__ = ["MemorySpace", "ArrayHandle", "attempt_with_rollback"]
 
 _T = TypeVar("_T")
 
+_INT64 = np.dtype(np.int64)
+_UINT64 = np.dtype(np.uint64)
+_max_reduce = np.maximum.reduce
+
 
 class MemorySpace:
     """A flat word-addressed memory backed by ``numpy.float64`` cells.
@@ -198,9 +202,10 @@ class MemorySpace:
             return
         if self._undo is not None:
             logged, old = self._undo
-            logged.frombytes(memoryview(
-                np.ascontiguousarray(addresses, dtype=np.int64)).cast("B"))
-            old.frombytes(memoryview(self._cells[addresses]).cast("B"))
+            logged.frombytes(
+                addresses.tobytes() if addresses.dtype is _INT64
+                else addresses.astype(np.int64).tobytes())
+            old.frombytes(self._cells[addresses].tobytes())
         if addresses.size > 1:
             self._cells[addresses[::-1]] = values[::-1]
         else:
@@ -212,7 +217,7 @@ class MemorySpace:
 
 def attempt_with_rollback(
     attempt: Callable[[], _T],
-    failure: type[Exception],
+    failure: type[Exception] | tuple[type[Exception], ...],
     spaces: Sequence[MemorySpace],
     units: Sequence,
 ) -> _T | None:
@@ -267,14 +272,14 @@ class ArrayHandle:
             idx = indices if indices.ndim == 1 else indices.ravel()
         else:
             idx = np.asarray(indices, dtype=np.int64).ravel()
-        if idx.size:
-            lo = int(idx.min())
-            hi = int(idx.max())
-            if lo < 0 or hi >= self.size:
-                raise AddressError(
-                    f"index out of range for array {self.describe()}: "
-                    f"min={lo}, max={hi}, size={self.size}"
-                )
+        # One reduction checks both bounds: viewed as uint64, a negative
+        # index is at least 2**63, past any array size.
+        if idx.size and _max_reduce(idx.view(_UINT64)) >= self.size:
+            raise AddressError(
+                f"index out of range for array {self.describe()}: "
+                f"min={int(idx.min())}, max={int(idx.max())}, "
+                f"size={self.size}"
+            )
         return self.base + idx
 
     # -- host-side access ------------------------------------------------------

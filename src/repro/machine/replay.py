@@ -78,6 +78,7 @@ import hashlib
 import heapq
 import io
 import json
+import struct
 import threading
 import types
 import zipfile
@@ -99,10 +100,10 @@ from repro.machine.ops import (
     BarrierOp,
     BarrierScope,
     ComputeOp,
-    MemoryOp,
-    RangeOp,
     ReadOp,
     ReadRangeOp,
+    WriteOp,
+    WriteRangeOp,
 )
 from repro.machine.pipeline import UnitStats
 from repro.machine.policy import (
@@ -136,11 +137,16 @@ _FIRST_CAPTURE_KEYS = 1024
 #: Largest packed (device epoch, address, DMM epoch, op) key
 #: ``race_free`` sorts; a launch whose key could pass it refuses replay.
 _PACKED_KEY_LIMIT = (1 << 62) - 1
+_INT64 = np.dtype(np.int64)
+#: One recorded op ``(warp, kind, unit, arg, read, lanes, rounds)`` as
+#: the native-order int64 bytes of the compiler's op buffer.
+_pack_op = struct.Struct("7q").pack
 
 #: Operation codes of the compiled stream.
 _OP_MEM, _OP_COMPUTE, _OP_BARRIER, _OP_MASKED = 0, 1, 2, 3
 #: Barrier scope codes (``op_arg`` of a barrier op).
 _SCOPE_DMM, _SCOPE_DEVICE = 0, 1
+_DEVICE = BarrierScope.DEVICE
 
 # ---------------------------------------------------------------------------
 # Launch keying: canonical content hash of (program, shape, memory state).
@@ -346,25 +352,27 @@ class TraceCompiler:
         self._addresses = array.array("q")
         self._transactions = 0
 
-    def _reserve(self, transactions: int) -> None:
-        self._transactions += transactions
-        if (self.max_transactions is not None
-                and self._transactions > self.max_transactions):
-            raise TraceOverflowError(
-                f"trace exceeded max_transactions={self.max_transactions}; "
-                "raise the cap (or trace a smaller launch)"
-            )
+    def _overflow(self) -> TraceOverflowError:
+        return TraceOverflowError(
+            f"trace exceeded max_transactions={self.max_transactions}; "
+            "raise the cap (or trace a smaller launch)"
+        )
 
     def _append_addresses(self, addresses: np.ndarray) -> None:
-        flat = np.ascontiguousarray(addresses, dtype=np.int64).ravel()
-        self._addresses.frombytes(memoryview(flat).cast("B"))
+        if addresses.dtype is not _INT64:
+            addresses = addresses.astype(np.int64)
+        self._addresses.frombytes(addresses.tobytes())
 
     # -- recording ---------------------------------------------------------
     def memory(self, warp: int, unit: int, addresses: np.ndarray,
                read: bool) -> None:
         """One warp memory transaction on unit index ``unit``."""
-        self._reserve(1)
-        self._ops.extend((warp, _OP_MEM, unit, 0, read, addresses.size, 1))
+        self._transactions += 1
+        if (self.max_transactions is not None
+                and self._transactions > self.max_transactions):
+            raise self._overflow()
+        self._ops.frombytes(
+            _pack_op(warp, _OP_MEM, unit, 0, read, addresses.size, 1))
         self._append_addresses(addresses)
 
     def range(self, warp: int, unit: int, addresses: np.ndarray, read: bool,
@@ -372,20 +380,24 @@ class TraceCompiler:
         """A fused range: one transaction per row of ``addresses``, each
         followed by ``compute`` time units of local work."""
         rounds, lanes = addresses.shape
-        self._reserve(rounds)
-        self._ops.extend((warp, _OP_MEM, unit, compute, read, lanes, rounds))
+        self._transactions += rounds
+        if (self.max_transactions is not None
+                and self._transactions > self.max_transactions):
+            raise self._overflow()
+        self._ops.frombytes(
+            _pack_op(warp, _OP_MEM, unit, compute, read, lanes, rounds))
         self._append_addresses(addresses)
 
     def compute(self, warp: int, cycles: int) -> None:
-        self._ops.extend((warp, _OP_COMPUTE, -1, cycles, 0, 0, 1))
+        self._ops.frombytes(_pack_op(warp, _OP_COMPUTE, -1, cycles, 0, 0, 1))
 
     def masked(self, warp: int) -> None:
         """A fully-masked memory op: no cost, but a dispatch turn."""
-        self._ops.extend((warp, _OP_MASKED, -1, 0, 0, 0, 1))
+        self._ops.frombytes(_pack_op(warp, _OP_MASKED, -1, 0, 0, 0, 1))
 
     def arrival(self, warp: int, scope: BarrierScope) -> None:
-        code = _SCOPE_DEVICE if scope is BarrierScope.DEVICE else _SCOPE_DMM
-        self._ops.extend((warp, _OP_BARRIER, -1, code, 0, 0, 1))
+        code = _SCOPE_DEVICE if scope is _DEVICE else _SCOPE_DMM
+        self._ops.frombytes(_pack_op(warp, _OP_BARRIER, -1, code, 0, 0, 1))
 
     # -- freezing ----------------------------------------------------------
     def compile(
@@ -453,8 +465,10 @@ def _step_warps(
     barrier epoch, which in a race-free launch changes no value any warp
     reads.  Raises :class:`~repro.errors.DeadlockError` when warps are
     left at a barrier that can never be released,
-    :class:`~repro.errors.KernelError` on an unknown op, and whatever
-    the program or ``engine._unit_for`` raises.
+    :class:`~repro.errors.KernelError` on an op of any other type than
+    the six of :mod:`repro.machine.ops` (a subclass too: the event
+    run, which the refusal falls back to, takes it), and whatever the
+    program or ``engine._unit_for`` raises.
     """
     unit_index = {id(unit): i for i, unit in enumerate(engine.units)}
     unit_of: dict[tuple, int] = {}
@@ -493,42 +507,48 @@ def _step_warps(
                     release(group)
                 break
             send = None
-            if isinstance(op, MemoryOp):
-                read = isinstance(op, ReadOp)
+            kind = type(op)
+            if kind is ReadOp:
                 addresses = op.addresses
-                if addresses.size == 0:
+                if not addresses.size:
                     compiler.masked(wid)
-                    if read:
-                        send = np.zeros(lanes, dtype=np.float64)
+                    send = np.zeros(lanes, dtype=np.float64)
                     continue
-                compiler.memory(wid, unit(ws, op), addresses, read)
-                space = op.array.space
-                if read:
+                compiler.memory(wid, unit(ws, op), addresses, True)
+                if addresses.size == lanes:
+                    # Every lane reads: the load (a fresh array) already
+                    # is the full-width result.
+                    send = op.array.space.load(addresses)
+                else:
                     send = np.zeros(lanes, dtype=np.float64)
                     assert op.result_mask is not None
-                    send[op.result_mask] = space.load(addresses)
-                else:
-                    space.store(addresses, op.values)
-            elif isinstance(op, ComputeOp):
+                    send[op.result_mask] = op.array.space.load(addresses)
+            elif kind is WriteOp:
+                addresses = op.addresses
+                if not addresses.size:
+                    compiler.masked(wid)
+                    continue
+                compiler.memory(wid, unit(ws, op), addresses, False)
+                op.array.space.store(addresses, op.values)
+            elif kind is ComputeOp:
                 compiler.compute(wid, op.cycles)
-            elif isinstance(op, RangeOp):
-                read = isinstance(op, ReadRangeOp)
-                compiler.range(wid, unit(ws, op), op.addresses, read,
-                               op.compute)
-                space = op.array.space
-                if read:
-                    send = space.load(op.addresses)
-                else:
-                    # Later rounds overwrite earlier ones; within a round
-                    # the lowest lane wins (store keeps first occurrences).
-                    space.store(op.addresses[::-1].ravel(),
-                                op.values[::-1].ravel())
-            elif isinstance(op, BarrierOp):
+            elif kind is BarrierOp:
                 compiler.arrival(wid, op.scope)
-                group = device if op.scope is BarrierScope.DEVICE else dmm
+                group = device if op.scope is _DEVICE else dmm
                 group.waiting.add(wid)
                 release(group)
                 break
+            elif kind is ReadRangeOp:
+                compiler.range(wid, unit(ws, op), op.addresses, True,
+                               op.compute)
+                send = op.array.space.load(op.addresses)
+            elif kind is WriteRangeOp:
+                compiler.range(wid, unit(ws, op), op.addresses, False,
+                               op.compute)
+                # Later rounds overwrite earlier ones; within a round
+                # the lowest lane wins (store keeps first occurrences).
+                op.array.space.store(op.addresses[::-1].ravel(),
+                                     op.values[::-1].ravel())
             else:
                 raise KernelError(
                     f"warp {wid} yielded unknown operation {op!r}")
@@ -1484,8 +1504,9 @@ def price_trace(
     )
 
 
-class _RacyCapture(Exception):
-    """A capture whose trace :meth:`CompiledTrace.race_free` refutes."""
+class _RefusedCapture(Exception):
+    """A capture that must roll back and leave its launch to the event
+    scheduler: its warps raised, or its trace is racy."""
 
 
 def replay_launch(
@@ -1517,9 +1538,11 @@ def replay_launch(
       scheduler, the reference.  An unkeyable program refuses before
       any run.  Every failed capture first rolls its stores back: a
       racy one (also counted as a flagged capture), one over the
-      capture cap or the certificate's key width, and one that raised
-      (a deadlock, a bad address, a kernel error), whose error the
-      event run raises again with its own stores standing.
+      capture cap or the certificate's key width, and one whose warps
+      raised (a deadlock, a bad address, a kernel error), whose error
+      the event run raises again with its own stores standing.  Any
+      other error, from compiling or certifying the trace, is a defect
+      of the capture and propagates.
 
     ``trace`` is the trace a hit or a capture priced, which prices
     this launch at any other latency; ``None`` on a refusal.
@@ -1556,7 +1579,12 @@ def replay_launch(
     def capture() -> CompiledTrace:
         compiler = TraceCompiler(unit_names,
                                  max_transactions=store.capture_limit)
-        _step_warps(program, contexts, engine, compiler)
+        try:
+            _step_warps(program, contexts, engine, compiler)
+        except Exception as exc:
+            # The program's own error, a deadlock, a bad address, an
+            # unknown op or the capture cap: the event run decides.
+            raise _RefusedCapture from exc
         written = {}
         for space in spaces:
             cells = space.written()
@@ -1571,12 +1599,15 @@ def replay_launch(
         )
         if not trace.race_free():
             store.metrics.inc("trace_store.flagged_programs")
-            raise _RacyCapture
+            raise _RefusedCapture
         return trace
 
-    # Every failure rolls the capture back and leaves the launch to the
-    # event scheduler, which raises any error of the program again.
-    trace = attempt_with_rollback(capture, Exception, spaces, units)
+    # A refused capture rolls back and leaves the launch to the event
+    # scheduler, which raises any error of the program again; so does a
+    # certificate key too wide to pack.  Any other error is a defect of
+    # the capture itself and propagates.
+    trace = attempt_with_rollback(
+        capture, (_RefusedCapture, TraceOverflowError), spaces, units)
     if trace is None:
         store.note_refusal()
         return None, None, "replay-refused", None

@@ -49,6 +49,14 @@ __all__ = ["WarpContext", "WarpProgram", "full_mask"]
 WarpProgram = Callable[["WarpContext"], Generator[Op, "np.ndarray | None", None]]
 
 _FULL_MASKS: dict[int, np.ndarray] = {}
+_INT64 = np.dtype(np.int64)
+
+#: Shared instances of the frozen ops kernels yield most often: small
+#: integer compute steps and the two barriers.
+_COMPUTE_OPS = {cycles: ComputeOp(cycles=cycles) for cycles in range(16)}
+_DEVICE, _DMM = BarrierScope.DEVICE, BarrierScope.DMM
+_DEVICE_BARRIER = BarrierOp(scope=_DEVICE)
+_DMM_BARRIER = BarrierOp(scope=_DMM)
 
 
 def full_mask(n: int) -> np.ndarray:
@@ -224,15 +232,23 @@ class WarpContext:
 
     def compute(self, cycles: int = 1) -> ComputeOp:
         """Local RAM computation: each thread spends ``cycles`` time units."""
+        if type(cycles) is int:
+            op = _COMPUTE_OPS.get(cycles)
+            if op is not None:
+                return op
         return ComputeOp(cycles=cycles)
 
     def barrier(self, scope: BarrierScope = BarrierScope.DEVICE) -> BarrierOp:
         """Synchronize with all warps in ``scope`` (costs no time units)."""
+        if scope is _DEVICE:
+            return _DEVICE_BARRIER
+        if scope is _DMM:
+            return _DMM_BARRIER
         return BarrierOp(scope=scope)
 
     def sync_dmm(self) -> BarrierOp:
         """Shorthand for a DMM-scope barrier (CUDA ``__syncthreads``)."""
-        return BarrierOp(scope=BarrierScope.DMM)
+        return _DMM_BARRIER
 
     # -- internals -----------------------------------------------------------
     def _range_matrix(self, indices: np.ndarray) -> np.ndarray:
@@ -261,14 +277,19 @@ class WarpContext:
         constructors every live lane takes part, so they can skip the
         fancy-indexing that a partial mask requires.
         """
-        n = self.num_lanes
+        n = self.tids.size
         if type(indices) is np.ndarray and indices.ndim == 1:
             if indices.size != n:
                 raise KernelError(
                     f"index vector must have one entry per live lane "
                     f"({n}), got {indices.size}"
                 )
+            if indices.dtype is _INT64 and (
+                    mask is None or mask is _FULL_MASKS.get(n)):
+                return indices, None
             idx = indices if indices.dtype == np.int64 else indices.astype(np.int64)
+        elif type(indices) is int:
+            idx = np.full(n, indices, dtype=np.int64)
         else:
             idx = np.asarray(indices, dtype=np.int64)
             if idx.ndim == 0:
@@ -291,6 +312,7 @@ class WarpContext:
                 f"mask must have one entry per live lane "
                 f"({n}), got {participate.size}"
             )
-        if participate is _FULL_MASKS.get(n) or participate.all():
+        if (participate is _FULL_MASKS.get(n)
+                or np.count_nonzero(participate) == n):
             return idx, None
         return idx, participate

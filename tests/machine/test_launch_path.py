@@ -26,7 +26,12 @@ from repro.errors import (
     SpaceMismatchError,
 )
 from repro.machine.engine import reprice
-from repro.machine.replay import default_store, reset_default_store
+from repro.machine.replay import (
+    CompiledTrace,
+    TraceCompiler,
+    default_store,
+    reset_default_store,
+)
 from repro.machine.scheduler import Scheduler
 from repro.machine.trace import TraceRecorder
 
@@ -353,6 +358,28 @@ class TestSchedulerFreeCapture:
         assert len(scheduler_runs) == 2
         stats = default_store().metrics["trace_store"]
         assert stats["captures"] == stats["flagged_programs"] == 0
+
+    @pytest.mark.parametrize("owner, name", [
+        (CompiledTrace, "race_free"),
+        (TraceCompiler, "compile"),
+    ], ids=["race_free", "compile"])
+    def test_defect_in_the_capture_propagates(self, kind, owner, name,
+                                              monkeypatch, scheduler_runs):
+        """An error of the capture's own code, past the warps' steps,
+        is a defect: the launch raises it, no refusal is counted and no
+        event run hides it."""
+
+        def broken(*args, **kwargs):
+            raise IndexError("defect")
+
+        monkeypatch.setattr(owner, name, broken)
+        eng, a, b, scratch = _build(kind, "replay")
+        with pytest.raises(IndexError, match="defect"):
+            eng.launch(_accumulate(a, b, scratch), NUM_THREADS)
+        assert scheduler_runs == []
+        assert all(space._undo is None for space in eng.spaces)
+        stats = default_store().metrics["trace_store"]
+        assert stats["refusals"] == stats["captures"] == 0
 
     def test_capture_cap_inside_a_fused_range(self, kind, monkeypatch):
         """The cap falls inside warp 3's fused write: a cap of exactly

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AddressError, AllocationError
+from repro.machine.engine import make_warp_contexts
 from repro.machine.memory import MemorySpace
+from repro.machine.warp import full_mask
+
+from conftest import make_dmm
 
 
 class TestAllocation:
@@ -124,3 +129,138 @@ class TestRawAccess:
         a.fill(3.0)
         space.alloc(10_000)  # force backing-store growth
         assert (a.to_numpy() == 3.0).all()
+
+
+# ---------------------------------------------------------------------------
+# Bounds-check parity: every way a kernel addresses an array checks its
+# indices against one reference, the plain [0, size) test in Python ints.
+# ---------------------------------------------------------------------------
+
+SIZE = 10
+LANES = 4
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: Indices near both bounds, the int64 extremes, and anything between.
+indices = st.one_of(
+    st.integers(-3, SIZE + 2),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, SIZE, INT64_MAX]),
+    st.integers(INT64_MIN, INT64_MAX),
+)
+#: A lane index: one Python int for every lane, or one per lane.
+lane_indices = st.one_of(indices, st.lists(indices, min_size=LANES,
+                                           max_size=LANES))
+#: No mask, the shared all-lanes mask, or any per-lane mask.
+masks = st.one_of(st.none(), st.just("full"),
+                  st.lists(st.booleans(), min_size=LANES, max_size=LANES))
+
+
+def _handle():
+    space = MemorySpace("m")
+    space.alloc(7)
+    return space.alloc(SIZE, "x")
+
+
+def _warp():
+    return make_warp_contexts(LANES, LANES)[0]
+
+
+def _reference(arr, idx):
+    """``(addresses, None)`` for in-range ``idx``, else ``(None, the
+    AddressError's message)``."""
+    idx = [int(i) for i in idx]
+    if any(not 0 <= i < arr.size for i in idx):
+        return None, (f"index out of range for array {arr.describe()}: "
+                      f"min={min(idx)}, max={max(idx)}, size={arr.size}")
+    return [arr.base + i for i in idx], None
+
+
+def _assert_checked(make, arr, idx):
+    """``make()`` returns the addresses of ``idx`` or raises the
+    reference's AddressError."""
+    want, message = _reference(arr, idx)
+    if message is None:
+        assert np.ravel(make()).tolist() == want
+    else:
+        with pytest.raises(AddressError) as caught:
+            make()
+        assert str(caught.value) == message
+
+
+def _lanes(idx, mask):
+    """The vector and mask a kernel passes, and the indices of the lanes
+    that take part."""
+    vector = idx if isinstance(idx, int) else np.array(idx, dtype=np.int64)
+    every = [idx] * LANES if isinstance(idx, int) else idx
+    if mask is None or mask == "full":
+        return vector, None if mask is None else full_mask(LANES), every
+    taking_part = [i for i, on in zip(every, mask) if on]
+    return vector, np.array(mask), taking_part
+
+
+class TestBoundsCheck:
+    @given(st.lists(indices, max_size=6))
+    def test_addresses_of_a_vector(self, idx):
+        arr = _handle()
+        _assert_checked(
+            lambda: arr.addresses(np.array(idx, dtype=np.int64)), arr, idx)
+        _assert_checked(lambda: arr.addresses(idx), arr, idx)
+
+    @given(indices)
+    def test_addresses_of_a_python_int(self, i):
+        arr = _handle()
+        _assert_checked(lambda: arr.addresses(i), arr, [i])
+
+    @given(lane_indices, masks)
+    def test_read_and_write_check_the_lanes_that_take_part(self, idx, mask):
+        arr, warp = _handle(), _warp()
+        vector, m, taking_part = _lanes(idx, mask)
+        values = np.arange(LANES, dtype=np.float64)
+        _assert_checked(lambda: warp.read(arr, vector, mask=m).addresses,
+                        arr, taking_part)
+        _assert_checked(
+            lambda: warp.write(arr, vector, values, mask=m).addresses,
+            arr, taking_part)
+
+    @given(st.lists(st.lists(indices, min_size=LANES, max_size=LANES),
+                    min_size=1, max_size=3))
+    def test_ranges_check_every_round(self, rows):
+        arr, warp = _handle(), _warp()
+        matrix = np.array(rows, dtype=np.int64)
+        every = [i for row in rows for i in row]
+        _assert_checked(lambda: warp.read_range(arr, matrix).addresses,
+                        arr, every)
+        _assert_checked(
+            lambda: warp.write_range(arr, matrix,
+                                     np.zeros(matrix.shape)).addresses,
+            arr, every)
+
+
+@pytest.mark.parametrize("mode", ["event", "batch", "replay"])
+@settings(max_examples=40, deadline=None)
+@given(idx=st.one_of(st.integers(0, SIZE - 1),
+                     st.lists(st.integers(0, SIZE - 1), min_size=LANES,
+                              max_size=LANES)),
+       mask=masks,
+       off=st.lists(indices, min_size=LANES, max_size=LANES))
+def test_masked_off_lanes_read_zero(mode, idx, mask, off):
+    """A read delivers each lane taking part its cell and every other
+    lane 0, on every evaluator."""
+    on = mask if isinstance(mask, list) else [True] * LANES
+    if not isinstance(idx, int):
+        # A masked-off lane's index is never checked: any int64 will do.
+        idx = [i if flag else o for i, flag, o in zip(idx, on, off)]
+    vector, m, _ = _lanes(idx, mask)
+    eng = make_dmm(width=LANES, mode=mode)
+    src, out = eng.alloc(SIZE), eng.alloc(LANES)
+    cells = np.arange(1.0, SIZE + 1.0)
+    src.set(cells)
+
+    def prog(warp):
+        values = yield warp.read(src, vector, mask=m)
+        yield warp.write(out, warp.lanes, values)
+
+    report = eng.launch(prog, LANES)
+    assert report.engine != "replay-refused"
+    every = [idx] * LANES if isinstance(idx, int) else idx
+    want = [cells[i] if flag else 0.0 for i, flag in zip(every, on)]
+    assert out.to_numpy().tolist() == want

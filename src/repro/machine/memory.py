@@ -123,31 +123,20 @@ class MemorySpace:
             grown[: self._cells.size] = self._cells
             self._cells = grown
 
-    # -- state capture (batch-engine fallback support) -----------------------
-    def snapshot(self) -> np.ndarray:
-        """Copy of all cell values, for restoring after a failed fast path.
-
-        Only cell *values* are captured; the allocation break is host-side
-        state that kernel launches never move.
-        """
-        return self._cells.copy()
-
-    def restore(self, cells: np.ndarray) -> None:
-        """Reinstate a :meth:`snapshot` (discards writes made since)."""
-        self._cells = cells.copy()
-
+    # -- state capture (fast-path rollback support) --------------------------
     def state(self) -> np.ndarray:
         """Copy of the *allocated* cells (``[0, used)``) only.
 
         Cells past the allocation break are unreachable by kernels, so
-        this is the complete observable value state of the space — what
-        trace replay hashes (cache keying).
+        this is the complete observable value state of the space: a
+        memory image to compare or keep.
         """
         return self._cells[: self._brk].copy()
 
     def cells(self) -> np.ndarray:
         """Read-only view of the allocated cells: :meth:`state` without
-        the copy, valid until the next store or allocation."""
+        the copy, valid until the next store or allocation.  Trace
+        replay hashes it into the launch key."""
         view = self._cells[: self._brk]
         view.flags.writeable = False
         return view
@@ -155,10 +144,11 @@ class MemorySpace:
     def begin_undo(self) -> None:
         """Start logging stores so they can be rolled back.
 
-        Cheaper than an upfront :meth:`snapshot` when most launches
-        succeed and most cells are only read: each :meth:`store` records
-        the overwritten values, and a failed fast path replays the log
-        backwards.  Logging stops at :meth:`end_undo` / :meth:`rollback`.
+        Each :meth:`store` records the values it overwrites, and a
+        failed fast path replays the log backwards: cheaper than copying
+        every cell up front when most launches succeed and most cells
+        are only read.  Logging stops at :meth:`end_undo` /
+        :meth:`rollback`.
         """
         self._undo = (array.array("q"), array.array("d"))
 

@@ -27,7 +27,9 @@ Pieces
     The compact structured-numpy-array form of a captured launch, plus
     the cells it wrote, so a replayed launch still "produces" the
     kernel's outputs.  The trace store's codec writes it as one ``.npz``
-    archive.
+    archive.  Its per-warp decode (:meth:`CompiledTrace.streams`, each
+    warp's ops in program order) is made once and read by the race
+    certificate and both pricers.
 
 :class:`ReplayCostEvaluator`
     Re-prices a trace under new unit parameters.  Slot counting is one
@@ -84,7 +86,6 @@ import types
 import zipfile
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,7 +96,7 @@ from repro.metrics import PROCESS, Registry, hit_rate
 from repro.native import native_kernels, resolve_backend
 from repro.native.cdefs import KERNELS as _NATIVE_KERNELS
 from repro.store import ArtifactStore
-from repro.store import config as _store_config
+from repro.store.config import repro_fingerprint
 from repro.machine.ops import (
     BarrierOp,
     BarrierScope,
@@ -112,7 +113,7 @@ from repro.machine.policy import (
     SlotPolicy,
     UMMGroupPolicy,
 )
-from repro.machine.scheduler import SchedulerResult, WarpState
+from repro.machine.scheduler import SchedulerResult, WarpState, _BarrierGroup
 from repro.machine.warp import WarpContext
 
 __all__ = [
@@ -127,11 +128,9 @@ __all__ = [
     "reset_default_store",
 ]
 
-#: Overrides the per-launch capture cap (transactions; 0 = unlimited).
-CAPTURE_LIMIT_ENV = "REPRO_TRACE_CAPTURE_LIMIT"
-
-_DEFAULT_LRU_ENTRIES = 64
-_DEFAULT_CAPTURE_LIMIT = 1 << 21
+#: Most memory transactions one capture records: a launch past it
+#: refuses replay instead of exhausting RAM.
+_CAPTURE_LIMIT = 1 << 21
 #: Keys a store remembers as captured once and not yet stored.
 _FIRST_CAPTURE_KEYS = 1024
 #: Largest packed (device epoch, address, DMM epoch, op) key
@@ -474,15 +473,16 @@ def _step_warps(
     unit_of: dict[tuple, int] = {}
     warps = {ctx.warp_id: WarpState(ctx=ctx, program=program(ctx))
              for ctx in contexts}
-    device = _Group(set(warps))
+    device = _BarrierGroup(set(warps))
     by_dmm: dict[int, set[int]] = {}
     for ctx in contexts:
         by_dmm.setdefault(ctx.dmm_id, set()).add(ctx.warp_id)
-    dmm_groups = {dmm: _Group(members) for dmm, members in by_dmm.items()}
+    dmm_groups = {dmm: _BarrierGroup(members)
+                  for dmm, members in by_dmm.items()}
     runnable = deque(warps.values())
 
-    def release(group: _Group) -> None:
-        if group.members and group.waiting == group.members:
+    def release(group: _BarrierGroup) -> None:
+        if group.complete():
             runnable.extend(warps[w] for w in sorted(group.waiting))
             group.waiting.clear()
 
@@ -585,6 +585,48 @@ def _racy(new_run: np.ndarray, write: np.ndarray, who: np.ndarray,
     return bool(written[run[1:][change]].any())
 
 
+class _WarpStreams:
+    """The per-warp decode of a trace: each warp's op stream.
+
+    A stable sort of the ops by warp index (a warp's position in
+    ``meta["warp_ids"]``) lists warp ``x``'s ops in program order as
+    ``ops[off[x]:off[x + 1]]``.  ``group[x]`` is the barrier group of
+    warp ``x``'s DMM, numbered 1, 2, ... in order of first appearance;
+    group 0 is the device.  The race certificate, the python pricer and
+    the native pricer all read this one decode.
+    """
+
+    __slots__ = ("ops", "off", "group", "n_groups")
+
+    def __init__(self, trace: "CompiledTrace") -> None:
+        ids = np.asarray(trace.meta["warp_ids"], dtype=np.int64)
+        n_warps = ids.size
+        if n_warps:
+            id2ix = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+            id2ix[ids] = np.arange(n_warps, dtype=np.int64)
+            warp_ix = id2ix[trace.op_warp]
+        else:
+            warp_ix = np.empty(0, dtype=np.int64)
+        self.ops = np.argsort(warp_ix, kind="stable").astype(
+            np.int64, copy=False)
+        self.off = np.zeros(n_warps + 1, dtype=np.int64)
+        np.cumsum(np.bincount(warp_ix, minlength=n_warps), out=self.off[1:])
+        group_of: dict[int, int] = {}
+        self.group = np.zeros(n_warps, dtype=np.int64)
+        for x, dmm in enumerate(trace.meta["warp_dmms"]):
+            g = group_of.get(dmm)
+            if g is None:
+                g = group_of[dmm] = len(group_of) + 1
+            self.group[x] = g
+        self.n_groups = len(group_of) + 1
+
+    def in_trace_order(self, values: np.ndarray) -> np.ndarray:
+        """``values``, one per op in stream order, put in trace order."""
+        out = np.empty_like(values)
+        out[self.ops] = values
+        return out
+
+
 @dataclass
 class CompiledTrace:
     """One captured launch as flat structured numpy arrays.
@@ -612,6 +654,9 @@ class CompiledTrace:
     addr_off: np.ndarray
     addresses: np.ndarray
     post_state: dict[str, tuple[np.ndarray, np.ndarray]]
+    _streams: "_WarpStreams | None" = field(
+        default=None, repr=False, compare=False
+    )
     _evaluator: "ReplayCostEvaluator | None" = field(
         default=None, repr=False, compare=False
     )
@@ -624,6 +669,12 @@ class CompiledTrace:
     def addresses_of(self, i: int) -> np.ndarray:
         """Raw lane addresses of memory op ``i`` (a view)."""
         return self.addresses[self.addr_off[i] : self.addr_off[i + 1]]
+
+    def streams(self) -> _WarpStreams:
+        """The (cached) per-warp decode of this trace."""
+        if self._streams is None:
+            self._streams = _WarpStreams(self)
+        return self._streams
 
     # -- soundness ---------------------------------------------------------
     def race_free(self) -> bool:
@@ -657,11 +708,10 @@ class CompiledTrace:
         writes = mem & (self.op_read == 0)
         if not writes.any():
             return True
-        device, dmm_epoch = self._epochs()
-        ids = np.asarray(self.meta["warp_ids"], dtype=np.int64)
-        dmm_of = np.zeros(int(ids.max()) + 1, dtype=np.int32)
-        dmm_of[ids] = self.meta["warp_dmms"]
-        op_dmm = dmm_of[self.op_warp]
+        streams = self.streams()
+        device, dmm_epoch = self._epochs(streams)
+        op_dmm = streams.in_trace_order(
+            np.repeat(streams.group, np.diff(streams.off)))
         n_ops = kind.size
         stride = int(dmm_epoch.max()) + 1
         scale = stride * n_ops
@@ -716,24 +766,20 @@ class CompiledTrace:
                 return False
         return True
 
-    def _epochs(self) -> "tuple[np.ndarray, np.ndarray]":
+    def _epochs(
+        self, streams: _WarpStreams
+    ) -> "tuple[np.ndarray, np.ndarray]":
         """Each op's device epoch and DMM epoch: the number of device
         (DMM) barriers its warp arrived at before it."""
-        # A stable sort by warp lists each warp's ops in program order;
-        # count barriers within each warp's run.
-        order = np.argsort(self.op_warp, kind="stable")
-        warp_sorted = self.op_warp[order]
-        first = np.flatnonzero(
-            np.concatenate(([True], warp_sorted[1:] != warp_sorted[:-1])))
-        run_len = np.diff(np.append(first, order.size))
+        # Count barriers within each warp's run of the stream order.
+        order, off = streams.ops, streams.off
         barrier = self.op_kind[order] == _OP_BARRIER
         scope = self.op_arg[order]
         epochs = []
         for code in (_SCOPE_DEVICE, _SCOPE_DMM):
             seen = np.concatenate(([0], np.cumsum(barrier & (scope == code))))
-            count = np.empty(order.size, dtype=np.int64)
-            count[order] = seen[1:] - np.repeat(seen[first], run_len)
-            epochs.append(count)
+            epochs.append(streams.in_trace_order(
+                seen[1:] - np.repeat(seen[off[:-1]], np.diff(off))))
         return epochs[0], epochs[1]
 
     def evaluator(self) -> "ReplayCostEvaluator":
@@ -817,17 +863,6 @@ class CompiledTrace:
 # ---------------------------------------------------------------------------
 
 
-class _Group:
-    """Barrier group state during replay (mirrors the scheduler's)."""
-
-    __slots__ = ("members", "waiting", "arrivals")
-
-    def __init__(self, members: set[int]) -> None:
-        self.members = set(members)
-        self.waiting: set[int] = set()
-        self.arrivals: dict[int, int] = {}
-
-
 #: Builtin slot policies the native ``repro_slot_counts`` kernel
 #: implements directly; custom :class:`SlotPolicy` subclasses always
 #: count through their own Python/numpy code.
@@ -866,8 +901,8 @@ class _SlotTable:
 class ReplayCostEvaluator:
     """Re-price a :class:`CompiledTrace` under new unit parameters.
 
-    Decodes the trace once (per-warp streams and per-unit transaction
-    groups, via one stable argsort + bincount pass); each
+    Reads the trace's per-warp decode (:meth:`CompiledTrace.streams`)
+    and groups its memory ops by unit once; each
     :meth:`evaluate` call then runs one vectorized slot count per unit
     (cached per policy set) and a faithful integer port of the event
     scheduler's loop — same heap discipline, same round-robin rotation,
@@ -894,30 +929,10 @@ class ReplayCostEvaluator:
         self._op_arg = trace.op_arg
         self._addr_off = trace.addr_off
         self._addresses = trace.addresses
+        self._streams = trace.streams()
         self.backend = resolve_backend(backend)
-        meta = trace.meta
-        self._warp_ids: list[int] = list(meta["warp_ids"])
-        self._warp_dmms: list[int] = list(meta["warp_dmms"])
-        self._unit_names: list[str] = list(meta["unit_names"])
-        self._ix_of = {wid: i for i, wid in enumerate(self._warp_ids)}
-        n_warps = len(self._warp_ids)
-        # Vectorized decode shared by both backends: a stable argsort
-        # over warp indices groups each warp's ops in trace order.
-        if n_warps:
-            ids = np.asarray(self._warp_ids, dtype=np.int64)
-            id2ix = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
-            id2ix[ids] = np.arange(n_warps, dtype=np.int64)
-            warp_ix = id2ix[trace.op_warp.astype(np.int64, copy=False)]
-            counts = np.bincount(warp_ix, minlength=n_warps)
-        else:
-            warp_ix = np.empty(0, dtype=np.int64)
-            counts = np.empty(0, dtype=np.int64)
-        self._stream_ops = np.argsort(warp_ix, kind="stable").astype(
-            np.int64, copy=False
-        )
-        self._stream_off = np.zeros(n_warps + 1, dtype=np.int64)
-        if n_warps:
-            np.cumsum(counts, out=self._stream_off[1:])
+        self._warp_ids: list[int] = list(trace.meta["warp_ids"])
+        self._unit_names: list[str] = list(trace.meta["unit_names"])
         mem_mask = trace.op_kind == _OP_MEM
         unit64 = trace.op_unit.astype(np.int64, copy=False)
         self._mem_by_unit: list[np.ndarray] = [
@@ -950,9 +965,9 @@ class ReplayCostEvaluator:
     def _python_lists(self) -> tuple:
         """Hot arrays as python lists (the Python loop is pure int work)."""
         if self._py_lists is None:
-            off = self._stream_off
+            ops, off = self._streams.ops, self._streams.off
             streams = [
-                self._stream_ops[off[x]:off[x + 1]].tolist()
+                ops[off[x]:off[x + 1]].tolist()
                 for x in range(len(self._warp_ids))
             ]
             self._py_lists = (
@@ -960,6 +975,8 @@ class ReplayCostEvaluator:
                 self._op_unit.tolist(),
                 self._op_arg.tolist(),
                 streams,
+                self._streams.group.tolist(),
+                {wid: x for x, wid in enumerate(self._warp_ids)},
             )
         return self._py_lists
 
@@ -972,17 +989,8 @@ class ReplayCostEvaluator:
         :attr:`_native_lock`.
         """
         if self._native_buf is None:
-            n_warps = len(self._warp_ids)
             ids = np.asarray(self._warp_ids, dtype=np.int64)
-            # DMM barrier groups: dense indices 1.. in first-appearance
-            # order (group 0 is the device group).
-            group_of: dict[int, int] = {}
-            warp_group = np.zeros(n_warps, dtype=np.int64)
-            for x, dmm in enumerate(self._warp_dmms):
-                g = group_of.get(dmm)
-                if g is None:
-                    g = group_of[dmm] = len(group_of) + 1
-                warp_group[x] = g
+            streams = self._streams
             n_units = len(self._unit_names)
             io = {
                 "latency": np.zeros(n_units, dtype=np.int64),
@@ -993,12 +1001,12 @@ class ReplayCostEvaluator:
             }
             buf = _NATIVE_KERNELS["repro_replay_price"].pointers(
                 warp_ids=ids,
-                warp_group=warp_group,
+                warp_group=streams.group,
                 wid_order=np.argsort(ids, kind="stable").astype(
                     np.int64, copy=False
                 ),
-                stream_off=self._stream_off,
-                stream_ops=self._stream_ops,
+                stream_off=streams.off,
+                stream_ops=streams.ops,
                 op_kind=np.ascontiguousarray(self._op_kind, dtype=np.int8),
                 op_unit=np.ascontiguousarray(self._op_unit, dtype=np.int16),
                 op_arg=np.ascontiguousarray(self._op_arg, dtype=np.int64),
@@ -1010,7 +1018,7 @@ class ReplayCostEvaluator:
                     self._addresses, dtype=np.int64
                 ),
             ))
-            buf["n_groups"] = len(group_of) + 1
+            buf["n_groups"] = streams.n_groups
             buf["io"] = io
             self._native_buf = buf
         return self._native_buf
@@ -1105,6 +1113,22 @@ class ReplayCostEvaluator:
         if rc != 0:  # pragma: no cover - allocation failure only
             return None
         PROCESS.inc("native.native_calls")
+        return self._result(table, out_scalars, out_busy, out_last)
+
+    # -- the one result both loops return ----------------------------------
+    def _result(
+        self,
+        table: _SlotTable,
+        scalars: Sequence[int],
+        busy: Sequence[int],
+        last: Sequence[int],
+    ) -> tuple[SchedulerResult, dict[str, UnitStats]]:
+        """A pricing's counters and per-unit statistics.
+
+        ``scalars`` are the cycles, compute ops, compute cycles and
+        barrier releases; ``busy`` and ``last`` are each unit's
+        port-busy-until and last-completion times.
+        """
         stats: dict[str, UnitStats] = {}
         for u, name in enumerate(self._unit_names):
             tally = self._unit_tallies[u]
@@ -1117,14 +1141,15 @@ class ReplayCostEvaluator:
                 slots=st["slots"],
                 conflicted_transactions=st["conflicted"],
                 excess_slots=st["excess"],
-                port_busy_until=out_busy[u],
-                last_complete=out_last[u],
+                port_busy_until=busy[u],
+                last_complete=last[u],
             )
+        cycles, compute_ops, compute_cycles, releases = scalars
         result = SchedulerResult(
-            cycles=out_scalars[0],
-            compute_ops=out_scalars[1],
-            compute_cycles=out_scalars[2],
-            barrier_releases=out_scalars[3],
+            cycles=cycles,
+            compute_ops=compute_ops,
+            compute_cycles=compute_cycles,
+            barrier_releases=releases,
         )
         return result, stats
 
@@ -1159,10 +1184,8 @@ class ReplayCostEvaluator:
             if native is not None:
                 return native
         slots = table.as_list()
-        slot_tallies = table.per_unit
-        kind, unitv, arg, streams = self._python_lists()
-        ix_of = self._ix_of
-        warp_ids, warp_dmms = self._warp_ids, self._warp_dmms
+        kind, unitv, arg, streams, warp_group, ix_of = self._python_lists()
+        warp_ids = self._warp_ids
         n_warps = len(warp_ids)
         n_units = len(self._unit_names)
 
@@ -1179,17 +1202,16 @@ class ReplayCostEvaluator:
         last = [0] * n_units
         makespan = compute_ops = compute_cycles = releases = 0
 
-        device_key = (BarrierScope.DEVICE, 0)
-        groups: dict[tuple, _Group] = {device_key: _Group(set(warp_ids))}
-        by_dmm: dict[int, set[int]] = {}
-        for wid, dmm in zip(warp_ids, warp_dmms):
-            by_dmm.setdefault(dmm, set()).add(wid)
-        for dmm, members in by_dmm.items():
-            groups[(BarrierScope.DMM, dmm)] = _Group(members)
+        # Group 0 is the device, group g > 0 one DMM (the decode's).
+        groups = [_BarrierGroup(set(warp_ids))]
+        groups += [_BarrierGroup(set())
+                   for _ in range(self._streams.n_groups - 1)]
+        for wid, g in zip(warp_ids, warp_group):
+            groups[g].members.add(wid)
 
-        def maybe_release(group: _Group) -> None:
+        def maybe_release(group: _BarrierGroup) -> None:
             nonlocal releases
-            if not group.members or group.waiting != group.members:
+            if not group.complete():
                 return
             release_time = max(group.arrivals.values())
             for w in sorted(group.waiting):
@@ -1200,13 +1222,12 @@ class ReplayCostEvaluator:
             group.arrivals.clear()
             releases += 1
 
-        def retire(w: int) -> None:
-            for group in groups.values():
-                if w in group.members:
-                    group.members.discard(w)
-                    group.waiting.discard(w)
-                    group.arrivals.pop(w, None)
-                    maybe_release(group)
+        def retire(w: int, ix: int) -> None:
+            for group in (groups[0], groups[warp_group[ix]]):
+                group.members.discard(w)
+                group.waiting.discard(w)
+                group.arrivals.pop(w, None)
+                maybe_release(group)
 
         while heap:
             t, wid = heapq.heappop(heap)
@@ -1236,7 +1257,7 @@ class ReplayCostEvaluator:
                 finished.add(wid)
                 if t > makespan:
                     makespan = t
-                retire(wid)
+                retire(wid, ix)
                 continue
             i = streams[ix][ptr[ix]]
             ptr[ix] += 1
@@ -1274,38 +1295,15 @@ class ReplayCostEvaluator:
                 heapq.heappush(heap, (t, wid))
                 in_heap.add(wid)
             else:  # barrier arrival: wait for the group
-                gkey = (
-                    device_key
-                    if arg[i] == _SCOPE_DEVICE
-                    else (BarrierScope.DMM, warp_dmms[ix])
-                )
-                group = groups[gkey]
+                group = groups[
+                    0 if arg[i] == _SCOPE_DEVICE else warp_group[ix]]
                 group.waiting.add(wid)
                 group.arrivals[wid] = t
                 maybe_release(group)
 
-        stats: dict[str, UnitStats] = {}
-        for u, name in enumerate(self._unit_names):
-            tally = self._unit_tallies[u]
-            st = slot_tallies[u]
-            stats[name] = UnitStats(
-                transactions=tally["transactions"],
-                reads=tally["reads"],
-                writes=tally["writes"],
-                requests=tally["requests"],
-                slots=st["slots"],
-                conflicted_transactions=st["conflicted"],
-                excess_slots=st["excess"],
-                port_busy_until=busy[u],
-                last_complete=last[u],
-            )
-        result = SchedulerResult(
-            cycles=makespan,
-            compute_ops=compute_ops,
-            compute_cycles=compute_cycles,
-            barrier_releases=releases,
-        )
-        return result, stats
+        return self._result(
+            table, (makespan, compute_ops, compute_cycles, releases),
+            busy, last)
 
 
 # ---------------------------------------------------------------------------
@@ -1360,48 +1358,13 @@ class TraceStore:
     second time its key is captured: a launch seen once (a fresh input
     seed, say) writes nothing.  The keys captured once are a bounded
     set that forgets its oldest key first.  A persisted capture enters
-    the LRU on its first lookup, not when stored.
+    the LRU on its first lookup, not when stored.  The store has no
+    settings of its own: the namespace's ``REPRO_STORE_TRACE*``
+    variables and memory-tier defaults configure it.
     """
 
-    def __init__(
-        self,
-        *,
-        directory: "Path | str | None" = None,
-        persist: bool | None = None,
-        max_entries: int | None = None,
-        capture_limit: int | None = None,
-        fingerprint: str | None = None,
-    ) -> None:
-        self.directory = (
-            Path(directory) if directory is not None
-            else _store_config.namespace_dir("trace")
-        )
-        self.persist = (
-            _store_config.namespace_allowed("trace") if persist is None
-            else persist
-        )
-        if max_entries is None:
-            max_entries = (
-                _store_config.namespace_int("trace", "LRU")
-                or _DEFAULT_LRU_ENTRIES
-            )
-        self.max_entries = max(1, max_entries)
-        if capture_limit is None:
-            capture_limit = _store_config.env_int(CAPTURE_LIMIT_ENV)
-            if capture_limit is None:
-                capture_limit = _DEFAULT_CAPTURE_LIMIT
-        #: Max transactions captured per launch (None = unlimited);
-        #: overflowing launches refuse replay instead of exhausting RAM.
-        self.capture_limit = capture_limit if capture_limit > 0 else None
-        self.fingerprint = fingerprint or _store_config.repro_fingerprint()
-        self._ns = ArtifactStore().namespace(
-            "trace",
-            _TRACE_CODEC,
-            directory=self.directory,
-            persist=self.persist,
-            max_memory_entries=self.max_entries,
-            max_memory_bytes=None,  # entry-count LRU, as before
-        )
+    def __init__(self) -> None:
+        self._ns = ArtifactStore().namespace("trace", _TRACE_CODEC)
         #: This store's ``trace_store.*`` section: captures, refusals
         #: and racy captures (``flagged_programs``) counted here; hits,
         #: misses and contents read from the namespace.
@@ -1548,6 +1511,7 @@ def replay_launch(
     this launch at any other latency; ``None`` on a refusal.
     """
     store = default_store()
+    fingerprint = repro_fingerprint()
     width = engine.params.width
     units, spaces = engine.units, engine.spaces
     key = derive_launch_key(
@@ -1556,7 +1520,7 @@ def replay_launch(
         width=width,
         contexts=contexts,
         spaces=spaces,
-        fingerprint=store.fingerprint,
+        fingerprint=fingerprint,
     )
     if key is None:
         store.note_refusal()
@@ -1577,8 +1541,7 @@ def replay_launch(
         return result, stats, "replay", trace
 
     def capture() -> CompiledTrace:
-        compiler = TraceCompiler(unit_names,
-                                 max_transactions=store.capture_limit)
+        compiler = TraceCompiler(unit_names, max_transactions=_CAPTURE_LIMIT)
         try:
             _step_warps(program, contexts, engine, compiler)
         except Exception as exc:
@@ -1595,7 +1558,7 @@ def replay_launch(
             machine=engine.kind,
             width=width,
             post_state=written,
-            fingerprint=store.fingerprint,
+            fingerprint=fingerprint,
         )
         if not trace.race_free():
             store.metrics.inc("trace_store.flagged_programs")

@@ -16,9 +16,13 @@ the result cache on it.  The executor hands it the missing specs of one
 request that differ only in ``l`` (``axis="l"``), and it prices them
 from one launch where replay keeps the trace.  The spec dict (see
 :mod:`repro.service.protocol`) is the cache's parameter point — kernel,
-model, mode, and seed included — so service traffic and offline sweeps
-share hits whenever their specs match.  :func:`evaluate_point` is the
-same measure for one spec.
+model, mode, and seed included — so ``/v1/cost`` and ``/v1/sweep``
+share hits whenever their specs match.  The offline drivers share the
+executor, the store, each point's inputs and bit-identical cycles, but
+not result-cache entries: they key other measure functions
+(``sum_task``/``conv_task`` partials over ``Params``), and the measure
+function is part of the key.  :func:`evaluate_point` is the same
+measure for one spec.
 """
 
 from __future__ import annotations

@@ -378,7 +378,7 @@ class ServiceServer(FrontDoor):
         Persist the recorded time series to the store's ``telemetry``
         namespace on shutdown (and restore on start).  Off by default
         so tests and ad-hoc servers leave no artifacts behind; the
-        ``serve`` CLI turns it on.
+        ``serve`` CLI turns it on only with ``--telemetry-persist``.
     event_capacity:
         Event ring size (resume window of ``/v1/events``).
     """

@@ -4,8 +4,8 @@ One store, one key scheme (``<namespace>/<sha256>``), one metrics
 surface for every persisted artifact the reproduction produces: sweep
 measurements (namespace ``sweep``), compiled replay traces (``trace``),
 and autotune measurements (``tune``).  See docs/STORAGE.md for the
-architecture, the on-disk format, eviction and pinning, integrity
-checks, and the configuration knobs.
+architecture, the on-disk format, eviction, integrity checks, and
+the configuration knobs.
 
 The sweep executor (:mod:`repro.analysis.executor`), the trace replay
 engine (:mod:`repro.machine.replay`), and the tuner

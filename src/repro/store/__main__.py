@@ -44,8 +44,7 @@ def main(argv: "list[str] | None" = None) -> int:
         for name in NAMESPACES:
             c = store.namespace(name, _CODECS[name]).metrics[f"store.{name}"]
             print(f"  {name}: {c['entries_memory']} in memory / "
-                  f"{c['entries_disk']} on disk ({c['disk_bytes']} bytes, "
-                  f"{c['pinned']} pinned)")
+                  f"{c['entries_disk']} on disk ({c['disk_bytes']} bytes)")
         return 0
 
     # clear

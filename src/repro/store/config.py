@@ -17,7 +17,7 @@ One family of variables governs the content-addressed artifact store
                                ``<root>/<ns>/``.
 ``REPRO_STORE_<NS>_LRU``       Per-namespace in-memory entry budget.
 ``REPRO_STORE_<NS>_MAX_BYTES``    Per-namespace on-disk byte budget
-                                  (evicts oldest unpinned entries;
+                                  (evicts the oldest entries;
                                   default unlimited).
 ``REPRO_STORE_<NS>_MAX_ENTRIES``  Per-namespace on-disk entry budget
                                   (default unlimited).

@@ -19,11 +19,10 @@ root, one key scheme, and one metrics surface:
   SHA-256 and size) that is verified on read.  A corrupt or truncated
   entry is *quarantined* (moved into ``quarantine/``) and reported as a
   miss — never a crash.
-* **Eviction** is size- and count-based per tier, and never touches
-  *pinned* keys.  Memory defaults to a bounded LRU; disk defaults to
-  unlimited (a cache you paid to fill), with opt-in budgets via
-  constructor caps or ``REPRO_STORE_<NS>_MAX_BYTES`` /
-  ``REPRO_STORE_<NS>_MAX_ENTRIES``.
+* **Eviction** is size- and count-based per tier.  Memory defaults to
+  a bounded LRU; disk defaults to unlimited (a cache you paid to
+  fill), with opt-in budgets via constructor caps or
+  ``REPRO_STORE_<NS>_MAX_BYTES`` / ``REPRO_STORE_<NS>_MAX_ENTRIES``.
 * **Metrics** — every namespace counts hits (per tier), misses, puts,
   evictions, bytes, and integrity failures as ``store.<ns>.<counter>``
   in its own registry (:attr:`Namespace.metrics`, which also reports
@@ -66,8 +65,13 @@ __all__ = [
 ENVELOPE_MAGIC = b"repro-store"
 ENVELOPE_VERSION = 1
 
-_DEFAULT_MEMORY_ENTRIES = 4096
-_DEFAULT_MEMORY_BYTES = 64 << 20  # 64 MiB of decoded payloads
+#: A namespace's memory-tier budgets by default: ``(entries, payload
+#: bytes)``, where ``None`` bytes means no byte budget.
+_DEFAULT_MEMORY_TIER = (4096, 64 << 20)
+#: Namespaces whose memory-tier budgets differ.  Replay traces are
+#: kept by count alone: a trace's payload is compressed, so its bytes
+#: do not measure the arrays it holds in memory.
+_MEMORY_TIERS = {"trace": (64, None)}
 
 #: What every namespace counts, as ``store.<ns>.<counter>``.
 _COUNTERS = (
@@ -164,7 +168,7 @@ class Namespace:
         self.max_disk_bytes = max_disk_bytes
         #: This instance's own counts (``store.<name>.*``, counted into
         #: ``parent`` too) and contents (``entries_memory``,
-        #: ``entries_disk``, ``disk_bytes``, ``pinned``).
+        #: ``entries_disk``, ``disk_bytes``).
         self.metrics = Registry(parent)
         self._prefix = f"store.{name}."
         self.metrics.declare(*(self._prefix + c for c in _COUNTERS))
@@ -173,7 +177,6 @@ class Namespace:
         self._lock = threading.Lock()
         self._lru: "OrderedDict[str, tuple[Any, int]]" = OrderedDict()
         self._memory_bytes = 0
-        self._pinned: set[str] = set()
         # Cluster support: keys that arrived via a remote warm push (so
         # later lookups can be attributed to warming) and a bounded log
         # of locally-written keys (what a shard offers its peers).
@@ -262,20 +265,12 @@ class Namespace:
         self._evict_memory()
 
     def _evict_memory(self) -> None:
-        over = True
-        while over:
-            over = len(self._lru) > self.max_memory_entries or (
-                self.max_memory_bytes is not None
-                and self._memory_bytes > self.max_memory_bytes
-                and len(self._lru) > 1
-            )
-            if not over:
-                return
-            victim = next(
-                (k for k in self._lru if k not in self._pinned), None
-            )
-            if victim is None:
-                return  # everything pinned: over budget, but untouchable
+        while len(self._lru) > self.max_memory_entries or (
+            self.max_memory_bytes is not None
+            and self._memory_bytes > self.max_memory_bytes
+            and len(self._lru) > 1
+        ):
+            victim = next(iter(self._lru))  # the least recently used
             _, nbytes = self._lru.pop(victim)
             self._memory_bytes -= nbytes
             self._count("evictions_memory")
@@ -304,11 +299,7 @@ class Namespace:
                 and (self.max_disk_bytes is None
                      or total <= self.max_disk_bytes):
             return
-        pinned = self.pinned()
         for path, st in sorted(entries, key=lambda e: e[1].st_mtime):
-            key = path.name.rsplit(".", 1)[0]
-            if key in pinned:
-                continue
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - fs race
@@ -374,7 +365,7 @@ class Namespace:
         return None if found is None else found[0]
 
     def put(
-        self, key: str, obj: Any, *, pin: bool = False,
+        self, key: str, obj: Any, *,
         skip_existing: bool = False, memory: bool = True,
     ) -> bool:
         """Store ``obj`` under ``key``; returns ``False`` when
@@ -390,8 +381,6 @@ class Namespace:
         """
         _check_key(key)
         with self._lock:
-            if pin:
-                self._pinned.add(key)
             in_memory = key in self._lru
         if skip_existing and (
             in_memory or (self.persist and self.path_of(key).exists())
@@ -439,7 +428,6 @@ class Namespace:
             found = self._lru.pop(key, None)
             if found is not None:
                 self._memory_bytes -= found[1]
-            self._pinned.discard(key)
         existed = found is not None
         if self.persist:
             try:
@@ -552,21 +540,6 @@ class Namespace:
             self._recent_puts.clear()
         return out
 
-    # -- pinning ------------------------------------------------------------
-    def pin(self, key: str) -> None:
-        """Exempt ``key`` from eviction in both tiers."""
-        _check_key(key)
-        with self._lock:
-            self._pinned.add(key)
-
-    def unpin(self, key: str) -> None:
-        with self._lock:
-            self._pinned.discard(key)
-
-    def pinned(self) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._pinned)
-
     # -- enumeration and maintenance ----------------------------------------
     def keys(self) -> list[str]:
         """Keys present on disk (sorted); memory-only keys when not
@@ -607,7 +580,7 @@ class Namespace:
 
     def clear(self) -> int:
         """Drop every entry (memory, disk, quarantine); returns the
-        number of disk entry files removed.  Pins survive."""
+        number of disk entry files removed."""
         with self._lock:
             self._lru.clear()
             self._memory_bytes = 0
@@ -630,12 +603,11 @@ class Namespace:
     def _contents(self) -> dict:
         entries = self._disk_entries() if self.persist else []
         with self._lock:
-            in_memory, pinned = len(self._lru), len(self._pinned)
+            in_memory = len(self._lru)
         return {
             "entries_memory": in_memory,
             "entries_disk": len(entries),
             "disk_bytes": sum(st.st_size for _, st in entries),
-            "pinned": pinned,
         }
 
 
@@ -683,15 +655,17 @@ class ArtifactStore:
         directory: "Path | str | None" = None,
         persist: bool | None = None,
         max_memory_entries: int | None = None,
-        max_memory_bytes: "int | None" = _DEFAULT_MEMORY_BYTES,
+        max_memory_bytes: int | None = None,
         max_disk_entries: int | None = None,
         max_disk_bytes: int | None = None,
     ) -> Namespace:
         """Open one namespace view.
 
-        ``directory`` pins the entry directory; otherwise the env
+        ``directory`` fixes the entry directory; otherwise the env
         override or ``<root>/<name>`` applies.  Memory/disk budgets default from the
-        ``REPRO_STORE_<NS>_{LRU,MAX_ENTRIES,MAX_BYTES}`` variables.
+        ``REPRO_STORE_<NS>_{LRU,MAX_ENTRIES,MAX_BYTES}`` variables,
+        then from the namespace's memory-tier defaults
+        (:data:`_MEMORY_TIERS`, else :data:`_DEFAULT_MEMORY_TIER`).
         """
         if directory is not None:
             where = Path(directory)
@@ -701,10 +675,14 @@ class ArtifactStore:
             persist = self._persist
         if persist is None:
             persist = config.namespace_allowed(name)
+        default_entries, default_bytes = _MEMORY_TIERS.get(
+            name, _DEFAULT_MEMORY_TIER)
         if max_memory_entries is None:
             max_memory_entries = (
-                config.namespace_int(name, "LRU") or _DEFAULT_MEMORY_ENTRIES
+                config.namespace_int(name, "LRU") or default_entries
             )
+        if max_memory_bytes is None:
+            max_memory_bytes = default_bytes
         if max_disk_entries is None:
             max_disk_entries = config.namespace_int(name, "MAX_ENTRIES")
         if max_disk_bytes is None:

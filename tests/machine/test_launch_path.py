@@ -25,6 +25,7 @@ from repro.errors import (
     KernelError,
     SpaceMismatchError,
 )
+from repro.machine import replay as replay_mod
 from repro.machine.engine import reprice
 from repro.machine.replay import (
     CompiledTrace,
@@ -50,7 +51,6 @@ B_AFTER = -5.0 + A + 1.0
 def isolated_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.delenv("REPRO_STORE_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_CAPTURE_LIMIT", raising=False)
     reset_default_store()
     yield
     reset_default_store()
@@ -268,8 +268,7 @@ class TestLaunchOutcomes:
         expected = _launch(kind, "event")
         # Overflow on the last transaction, after other warps' stores.
         limit = expected.report.total_transactions() - 1
-        monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", str(limit))
-        reset_default_store()
+        monkeypatch.setattr(replay_mod, "_CAPTURE_LIMIT", limit)
         actual = _launch(kind, "replay")
         _assert_matches(expected, actual, "replay-refused")
         # The abandoned capture's stores were undone, not applied twice;
@@ -389,7 +388,7 @@ class TestSchedulerFreeCapture:
         assert total == 6 * NUM_THREADS // 4
         for limit, tag in ((total - 1, "replay-refused"),
                            (total, "replay-capture")):
-            monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", str(limit))
+            monkeypatch.setattr(replay_mod, "_CAPTURE_LIMIT", limit)
             reset_default_store()
             _assert_matches(expected, _launch(kind, "replay", _ranges), tag)
             stats = default_store().metrics["trace_store"]
@@ -467,8 +466,7 @@ class TestReprice:
 
     def test_none_after_an_overflowed_capture(self, kind, monkeypatch):
         limit = _launch(kind, "event").report.total_transactions() - 1
-        monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", str(limit))
-        reset_default_store()
+        monkeypatch.setattr(replay_mod, "_CAPTURE_LIMIT", limit)
         engines = []
         run = _launch(kind, "replay", engine_out=engines)
         assert run.report.engine == "replay-refused"

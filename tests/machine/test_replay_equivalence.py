@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import DMM, HMM, UMM, HMMParams, MachineParams
-from repro.errors import ConfigurationError, TraceOverflowError
+from repro.errors import TraceOverflowError
 from repro.core.kernels.histogram import hmm_histogram_racy
 from repro.machine import replay as replay_mod
 from repro.machine.engine import MachineEngine
@@ -45,7 +45,6 @@ def isolated_store(tmp_path, monkeypatch):
     """Every test gets a private on-disk store and a fresh singleton."""
     monkeypatch.setenv("REPRO_STORE_TRACE_DIR", str(tmp_path / "traces"))
     monkeypatch.delenv("REPRO_STORE_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_CAPTURE_LIMIT", raising=False)
     reset_default_store()
     yield
     reset_default_store()
@@ -214,25 +213,12 @@ class TestRefusals:
         assert default_store().metrics["trace_store.refusals"] == 1
 
     def test_capture_overflow_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", "4")
-        reset_default_store()
+        monkeypatch.setattr(replay_mod, "_CAPTURE_LIMIT", 4)
         m = DMM(MachineParams(width=4, latency=5), mode="replay")
         value, report = m.sum(X256, 16)
         assert report.engine == "replay-refused"
         assert value == pytest.approx(
             DMM(MachineParams(width=4, latency=5)).sum(X256, 16)[0])
-
-    def test_malformed_capture_limit_is_a_configuration_error(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_TRACE_CAPTURE_LIMIT", "lots")
-        reset_default_store()
-        m = DMM(MachineParams(width=4, latency=5), mode="replay")
-        with pytest.raises(
-            ConfigurationError,
-            match=r"\$REPRO_TRACE_CAPTURE_LIMIT must be an integer, got 'lots'",
-        ):
-            m.sum(X64, 16)
 
     def test_trace_compiler_overflow_raises(self):
         """The cap counts a fused range's rounds, not its one op."""
@@ -477,7 +463,7 @@ class TestTraceAdmission:
         store puts.  A disk hit also enters the LRU; that is no write."""
         store = default_store()
         stats = store.metrics["trace_store"]
-        entries = stats["entries_disk" if store.persist
+        entries = stats["entries_disk" if store.store_namespace.persist
                         else "entries_memory"]
         return entries, store.store_namespace.metrics["store.trace.puts"]
 
@@ -486,13 +472,13 @@ class TestTraceAdmission:
         assert self._stored() == (0, 0)
         assert default_store().metrics["trace_store.captures"] == 1
         if tier == "disk":
-            assert not list(default_store().directory.glob("*.npz"))
+            assert not list(default_store().store_namespace.directory.glob("*.npz"))
 
     def test_second_capture_stores_one(self, tier):
         self._sum()
         assert self._sum(latency=9).engine == "replay-capture"
         assert self._stored() == (1, 1)
-        files = list(default_store().directory.glob("*.npz"))
+        files = list(default_store().store_namespace.directory.glob("*.npz"))
         assert len(files) == (tier == "disk")
 
     def test_hit_stores_nothing(self, tier):

@@ -240,11 +240,13 @@ class TestReplayEquivalence:
         trace = _capture_hmm_trace()
         n = len(trace.meta["unit_names"])
         ev = ReplayCostEvaluator(trace, backend="native")
+        # The stream buffers are the trace's per-warp decode.
+        streams = trace.streams()
         if bad == "dtype":
-            ev._stream_ops = ev._stream_ops.astype(np.int32)
+            streams.ops = streams.ops.astype(np.int32)
             match = "stream_ops.*dtype int64"
         else:
-            ev._stream_off = np.repeat(ev._stream_off, 2)[::2]
+            streams.off = np.repeat(streams.off, 2)[::2]
             match = "stream_off.*C-contiguous"
         kw = dict(latencies=[5] * n, policies=[DMMBankPolicy()] * n,
                   pipelined=[True] * n)

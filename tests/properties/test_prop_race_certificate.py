@@ -2,9 +2,11 @@
 
 Hypothesis draws small warp programs: random lane addresses and masks,
 reads and writes (some addressed through the values just read, every
-write carrying them),
-partial warps, DMM-scope and device-scope barriers, compute steps and
-warps that stop early, on the DMM, the UMM and the HMM.  For each:
+write carrying them), fused ``read_range``/``write_range`` steps of up
+to three rounds (a range's rounds may write one cell again, and within
+a round several lanes may write it), partial warps, DMM-scope and
+device-scope barriers, compute steps and warps that stop early, on the
+DMM, the UMM and the HMM.  For each:
 
 * the certificate (``"replay-capture"`` vs ``"replay-refused"``) agrees
   with :meth:`~repro.machine.trace.TraceRecorder.detect_races` on an
@@ -72,9 +74,32 @@ def _mem_step():
     })
 
 
+#: Most rounds of a drawn fused range.
+MAX_ROUNDS = 3
+
+
+def _range_step():
+    return st.fixed_dictionaries({
+        "op": st.just("range"),
+        "write": st.lists(st.booleans(), min_size=MAX_WARPS,
+                          max_size=MAX_WARPS),
+        "shared": st.booleans(),
+        "indirect": st.booleans(),
+        "rounds": st.integers(1, MAX_ROUNDS),
+        "compute": st.integers(0, 2),
+        "addrs": st.lists(
+            st.lists(
+                st.lists(st.integers(0, CELLS - 1), min_size=WIDTH,
+                         max_size=WIDTH),
+                min_size=MAX_ROUNDS, max_size=MAX_ROUNDS),
+            min_size=MAX_WARPS, max_size=MAX_WARPS),
+    })
+
+
 STEPS = st.lists(
     st.one_of(
         _mem_step(),
+        _range_step(),
         st.fixed_dictionaries({"op": st.just("compute"),
                                "cycles": st.integers(1, 3)}),
         st.just({"op": "sync_dmm"}),
@@ -110,6 +135,25 @@ def _program(case, flat, shared):
                 yield warp.sync_dmm()
             elif op == "barrier":
                 yield warp.barrier()
+            elif op == "range":
+                array = shared[warp.dmm_id] if step["shared"] else flat
+                rows = np.asarray(
+                    step["addrs"][me][:step["rounds"]])[:, :warp.num_lanes]
+                if step["indirect"]:
+                    rows = (rows + last.astype(np.int64)) % CELLS
+                if step["write"][me]:
+                    # Each round and each lane writes its own value, so
+                    # the image shows which round and lane won a cell.
+                    rounds, lanes = rows.shape
+                    values = (last + 10.0 * me + i
+                              + 100.0 * np.arange(rounds)[:, None]
+                              + 0.25 * np.arange(lanes))
+                    yield warp.write_range(array, rows, values,
+                                           compute=step["compute"])
+                else:
+                    got = yield warp.read_range(array, rows,
+                                                compute=step["compute"])
+                    last = got.sum(axis=0)
             else:
                 array = shared[warp.dmm_id] if step["shared"] else flat
                 addrs = np.asarray(step["addrs"][me][:warp.num_lanes])
@@ -268,6 +312,14 @@ def _mem(writers, addrs):
             "masks": [[True] * WIDTH] * MAX_WARPS}
 
 
+def _range(writers, rows):
+    """A fused range step: warps in ``writers`` write, the others read;
+    warp ``i`` addresses the rounds ``rows[i]``."""
+    return {"op": "range", "write": [i in writers for i in range(MAX_WARPS)],
+            "shared": False, "indirect": False, "rounds": len(rows[0]),
+            "compute": 1, "addrs": rows}
+
+
 CELL7 = [7] * WIDTH
 
 #: Warp 1 writes cells 4-7; after a device barrier warp 0 reads them and
@@ -333,6 +385,18 @@ NAMED = {
     "two-dmms-read-after-barrier": (True, dict(WARPS, machine="hmm", steps=[
         _mem({1}, [CELL3, CELL5, CELL3, CELL3]), {"op": "barrier"},
         _mem(set(), [CELL5, CELL3, CELL5, CELL3])])),
+    # Warp 0's fused write stores cells 5 and 6 from two lanes each in
+    # round 0 and both again in round 1, cell 5 from two lanes: the
+    # lowest lane of the last round wins.  After a device barrier warp 1
+    # reads them.  One warp rewriting its own cells is no race.
+    "range-rewrites-a-cell": (True, dict(WARPS, machine="dmm", steps=[
+        _range({0}, [[[5, 5, 6, 6], [7, 6, 5, 5]]] + [[CELL3, CELL3]] * 3),
+        {"op": "barrier"},
+        _mem(set(), [CELL3, [5, 6, 7, 5], CELL3, CELL3])])),
+    # Warps 1-3 read cell 5 in round 1 of their fused reads, in the
+    # epoch in which round 1 of warp 0's fused write stores it.
+    "range-races-a-read": (False, dict(WARPS, machine="dmm", steps=[
+        _range({0}, [[[6, 6, 6, 6], [5, 6, 7, 7]]] + [[CELL3, CELL5]] * 3)])),
 }
 
 
@@ -345,6 +409,14 @@ def test_named_certificate_case(name):
     assert capture[0].engine == (
         "replay-capture" if want else "replay-refused")
     _assert_same(event, capture)
+
+
+@pytest.mark.parametrize("backend", ["python", "native"])
+def test_a_range_rewriting_a_cell_replays(backend, monkeypatch):
+    """Captured, stored and replayed under both dispatch orders, the
+    fused range leaves the event run's image and prices."""
+    monkeypatch.setenv("REPRO_BACKEND", backend)
+    check(NAMED["range-rewrites-a-cell"][1])
 
 
 def test_a_key_past_62_bits_refuses_replay(monkeypatch):

@@ -17,18 +17,22 @@ work:
   engine mode, the repro version fingerprint)*.  A new package version
   changes the fingerprint and silently invalidates old entries;
   ``REPRO_STORE_SWEEP=off`` is the escape hatch (see docs/STORAGE.md).
+  Lookups are per point.  A run writes its new records with one store
+  call when it returns (one segment file, see docs/STORAGE.md); a long
+  run also writes at the first unit boundary after each second or so
+  of measuring, so a sweep that stops early keeps what it measured.
 * **Progress** — a pluggable callback receives
   :class:`SweepProgress` snapshots (points done/total, cache hits, ETA,
   per-shard timings) so CLIs can print live status.
 
 Results come back as :class:`SweepPoint` rows in grid order regardless
-of ``jobs``; a sweep is *resumable* because any prefix of points already
-in the cache is skipped on the next run.
+of ``jobs``; a sweep is *resumable* because the points it already wrote
+to the cache are skipped on the next run.
 
 * **Grouping** — ``run(..., axis="l")`` measures the missing points
   that agree on every field but ``l`` in one ``measure`` call (the
-  tuner costs one candidate's latency grid from one launch); keys,
-  lookups and stores stay per point.
+  tuner costs one candidate's latency grid from one launch); keys and
+  lookups stay per point, and the records join the run's one write.
 
 Measure callables used with ``jobs > 1`` must be picklable: a
 module-level function, or ``functools.partial`` of one binding scalar
@@ -64,6 +68,10 @@ __all__ = [
 ]
 
 _SCALARS = (bool, int, float, str, type(None))
+
+#: Seconds of measuring after which a run writes the records it holds,
+#: at the next unit boundary, instead of waiting until it returns.
+_WRITE_EVERY_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -194,7 +202,8 @@ def _cache_metrics() -> Registry:
 
 class ResultCache:
     """Persistent measurement cache: one store namespace of canonical
-    JSON entries (:mod:`repro.store`), one entry file per key.
+    JSON records (:mod:`repro.store`), each in its own integrity
+    envelope; :meth:`put_many` files a batch as one segment file.
 
     Each entry is one ``{"key", "fingerprint", "cycles", "extra"}``
     record.  A corrupt or truncated entry is quarantined by the store
@@ -258,16 +267,19 @@ class ResultCache:
         return found
 
     def put(self, key: str, cycles: int, extra: dict) -> None:
-        entry = {
-            "key": key,
-            "fingerprint": self.fingerprint,
-            "cycles": int(cycles),
-            "extra": _jsonable_extra(extra),
-        }
-        self._ns.put(key, entry, skip_existing=True)
+        self.put_many([(key, cycles, extra)])
+
+    def put_many(self, records: "Iterable[tuple[str, int, dict]]") -> None:
+        """Store ``(key, cycles, extra)`` records with one store write;
+        keys already stored are kept."""
+        self._ns.put_many(
+            [(key, {"key": key, "fingerprint": self.fingerprint,
+                    "cycles": int(cycles), "extra": _jsonable_extra(extra)})
+             for key, cycles, extra in records],
+            skip_existing=True)
 
     def clear(self) -> int:
-        """Delete every entry file; returns how many were removed."""
+        """Delete every stored record; returns how many were removed."""
         return self._ns.clear()
 
     def _fingerprints(self) -> dict:
@@ -457,7 +469,7 @@ class SweepExecutor:
 
     # -- cache management ---------------------------------------------------
     def clear(self) -> int:
-        """Drop every cached result; returns removed entry-file count."""
+        """Drop every cached result; returns the removed record count."""
         return self.cache.clear() if self.cache else 0
 
     # -- the sweep ----------------------------------------------------------
@@ -482,8 +494,14 @@ class SweepExecutor:
         agree on every other field form one group: ``measure`` is called
         once per group with the group's points as a list, in grid order,
         and returns one result per point.  A group is one unit of work
-        for the worker pool.  Cache keys, lookups and stores stay per
-        point, exactly as without ``axis``.
+        for the worker pool.  Cache keys and lookups stay per point,
+        exactly as without ``axis``.
+
+        The new measurements are written to the cache with one store
+        call (one segment file) when the run returns, and at the first
+        unit boundary after about a second of measuring since the last
+        write.  The final write happens even when a point raises, so
+        the points measured before the error stay cached.
         """
         pts = list(points)
         total = len(pts)
@@ -517,6 +535,15 @@ class SweepExecutor:
 
         grouped = axis is not None
         units = _work_units(pts, missing, axis)
+        unwritten: list[tuple[str, int, dict]] = []
+        written_at = time.perf_counter()
+
+        def write() -> None:
+            nonlocal written_at
+            if unwritten:
+                self.cache.put_many(unwritten)  # type: ignore[union-attr]
+                unwritten.clear()
+            written_at = time.perf_counter()
 
         def record(unit: list[int], measured: list, seconds: float) -> None:
             nonlocal done
@@ -524,47 +551,55 @@ class SweepExecutor:
             for i, (cycles, extra) in zip(unit, measured):
                 results[i] = SweepPoint(params=pts[i], cycles=cycles,
                                         extra=extra)
-                self._store(keys[i], cycles, extra)
+                if keys[i] is not None:
+                    unwritten.append((keys[i], cycles, extra))
             done += len(unit)
+            if time.perf_counter() - written_at >= _WRITE_EVERY_S:
+                write()
             self._emit(label, total, done, cache_hits, start, timings)
 
         jobs = resolve_jobs(self.jobs, len(units))
-        if units and jobs <= 1:
-            for unit in units:
-                t0 = time.perf_counter()
-                measured = _measure_unit(
-                    measure, [pts[i] for i in unit], grouped)
-                record(unit, measured, time.perf_counter() - t0)
-        elif units:
-            pool, workers, transient = self._acquire_pool(jobs)
-            shards = _chunked(units, workers)
-            try:
-                futures = {
-                    pool.submit(_measure_chunk, measure,
-                                [[pts[i] for i in unit] for unit in shard],
-                                grouped): shard
-                    for shard in shards
-                }
-                pending = set(futures)
-                while pending:
-                    finished, pending = wait(
-                        pending, return_when=FIRST_COMPLETED
-                    )
-                    for fut in finished:
-                        shard = futures[fut]
-                        seconds, measured = fut.result()  # reraises
-                        record([i for unit in shard for i in unit],
-                               [r for rows in measured for r in rows],
-                               seconds)
-            finally:
-                if transient:
-                    pool.shutdown()
+        try:
+            if units and jobs <= 1:
+                for unit in units:
+                    t0 = time.perf_counter()
+                    measured = _measure_unit(
+                        measure, [pts[i] for i in unit], grouped)
+                    record(unit, measured, time.perf_counter() - t0)
+            elif units:
+                self._run_pool(measure, pts, units, grouped, jobs, record)
+        finally:
+            write()
         return results  # type: ignore[return-value]  # all slots filled
 
     # -- internals ----------------------------------------------------------
-    def _store(self, key: str | None, cycles: int, extra: dict) -> None:
-        if self.cache is not None and key is not None:
-            self.cache.put(key, cycles, extra)
+    def _run_pool(self, measure: Callable, pts: list, units: list[list[int]],
+                  grouped: bool, jobs: int, record: Callable) -> None:
+        """Measure ``units`` on the worker pool, handing each finished
+        shard's results to ``record`` as they arrive."""
+        pool, workers, transient = self._acquire_pool(jobs)
+        shards = _chunked(units, workers)
+        try:
+            futures = {
+                pool.submit(_measure_chunk, measure,
+                            [[pts[i] for i in unit] for unit in shard],
+                            grouped): shard
+                for shard in shards
+            }
+            pending = set(futures)
+            while pending:
+                finished, pending = wait(
+                    pending, return_when=FIRST_COMPLETED
+                )
+                for fut in finished:
+                    shard = futures[fut]
+                    seconds, measured = fut.result()  # reraises
+                    record([i for unit in shard for i in unit],
+                           [r for rows in measured for r in rows],
+                           seconds)
+        finally:
+            if transient:
+                pool.shutdown()
 
     def _emit(
         self,

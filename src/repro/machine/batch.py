@@ -88,8 +88,10 @@ class BatchFallback(Exception):
 
     Raised mid-run when a detector trips (an operation arriving behind an
     already-dispatched unit key, or no queued operation provably safe to
-    dispatch).  Engines catch it, restore memory from the launch
-    snapshot, and rerun on the event scheduler.  The message names the
+    dispatch).  The launch runs the batch attempt under
+    :func:`~repro.machine.memory.attempt_with_rollback`, which catches
+    it, reverts the attempt's stores through the undo log, and lets the
+    launch rerun on the event scheduler.  The message names the
     tripped detector — useful when debugging why a kernel misses the
     fast path (``docs/PERFORMANCE.md`` lists the common causes).
     """

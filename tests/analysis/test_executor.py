@@ -198,12 +198,13 @@ class TestCache:
 
     def test_corrupt_entry_skipped(self, cache_dir, count_file):
         ex = SweepExecutor(cache=True, cache_dir=cache_dir, fingerprint="F")
-        ex.run(cheap_measure, POINTS)
-        entries = sorted(cache_dir.glob("*.json"))
-        assert entries
-        victim = entries[0]
+        ex.run(cheap_measure, POINTS[:2])
+        ex.run(cheap_measure, POINTS)  # the other points: a second segment
+        segments = sorted((cache_dir / "segments").iterdir())
+        assert len(segments) == 2 and not list(cache_dir.glob("*.json"))
+        victim = segments[1]
         blob = victim.read_bytes()
-        victim.write_bytes(blob[: len(blob) // 2])  # truncate mid-entry
+        victim.write_bytes(blob[: len(blob) // 2])  # truncate mid-record
 
         warm = SweepExecutor(cache=True, cache_dir=cache_dir, fingerprint="F")
         rows = warm.run(cheap_measure, POINTS)
@@ -211,11 +212,40 @@ class TestCache:
             SweepPoint(params=q, cycles=q.n * q.l + 7, extra={"n": q.n})
             for q in POINTS
         ]
-        # Exactly the corrupted entry was recomputed...
-        assert _invocations(count_file) == len(POINTS) + 1
-        # ...after being quarantined, not deleted.
+        # Exactly the corrupted segment's records were recomputed...
+        assert _invocations(count_file) == 2 * len(POINTS) - 2
+        assert warm.metrics["cache.hits"] == 2
+        # ...after it was quarantined whole, not deleted.
         quarantined = list((cache_dir / "quarantine").iterdir())
         assert [p.name for p in quarantined] == [victim.name]
+        assert warm.cache.store_namespace.metrics[
+            "store.sweep.integrity_failures"] == 1
+
+    def test_a_run_writes_one_segment(self, cache_dir):
+        SweepExecutor(cache=True, cache_dir=cache_dir).run(
+            cheap_measure, POINTS)
+        files = [p for p in cache_dir.rglob("*") if p.is_file()]
+        assert [p.parent.name for p in files] == ["segments"]
+
+    def test_a_long_run_writes_at_unit_boundaries(self, cache_dir,
+                                                  monkeypatch):
+        import repro.analysis.executor as executor
+
+        monkeypatch.setattr(executor, "_WRITE_EVERY_S", 0.0)
+        SweepExecutor(cache=True, cache_dir=cache_dir).run(
+            cheap_measure, POINTS)
+        assert len(list(cache_dir.glob("*.json"))) == len(POINTS)
+
+    def test_a_failing_run_keeps_the_points_it_measured(self, cache_dir,
+                                                        count_file):
+        with pytest.raises(RuntimeError, match="boom at n=16"):
+            SweepExecutor(cache=True, cache_dir=cache_dir).run(
+                failing_measure, POINTS)
+        warm = SweepExecutor(cache=True, cache_dir=cache_dir)
+        rows = warm.run(failing_measure, POINTS[:2])  # the n=8 points
+        assert [r.cycles for r in rows] == [8, 8]
+        assert warm.metrics["cache.hits"] == 2
+        assert warm.metrics["cache.misses"] == 0
 
     def test_clear_and_stats(self, cache_dir):
         ex = SweepExecutor(cache=True, cache_dir=cache_dir, fingerprint="F")

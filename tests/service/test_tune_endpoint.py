@@ -168,3 +168,26 @@ class TestServedTune:
                     strategy="random", budget=3)
         rows = client.metrics()["requests"]
         assert rows["/v1/tune"]["200"] >= 1
+
+
+class TestServedTuneWrites:
+    def test_a_request_files_its_records_in_at_most_two_files(
+            self, tmp_path, monkeypatch):
+        """The baseline's run and the search's run each write their new
+        records as one segment, not one file per record."""
+        from repro.machine.replay import reset_default_store
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        reset_default_store()
+        sweep = tmp_path / "sweep"
+        try:
+            with BackgroundServer(cache_dir=sweep) as srv, \
+                    ServiceClient(srv.url) as client:
+                body = client.tune("transpose", latencies=[3, 9, 27])
+                records = srv.server.oracle.executor.cache.store_namespace \
+                    .metrics["store.sweep.entries_disk"]
+        finally:
+            reset_default_store()
+        assert body["cache"]["misses"] == records == 3 * body["evaluations"]
+        files = [p for p in sweep.rglob("*") if p.is_file()]
+        assert 1 <= len(files) <= 2

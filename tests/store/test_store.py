@@ -460,3 +460,182 @@ class TestMaintenance:
                      "--namespace", "sweep"]) == 0
         ns = ArtifactStore(root).namespace("sweep")
         assert ns.metrics["store.sweep.entries_disk"] == 0
+
+
+class TestSegments:
+    """``put_many``: a batch of records is one segment file, found
+    through the namespace's index by this and every other process."""
+
+    def _segment(self, ns) -> Path:
+        segment, = ns.segments_dir.iterdir()
+        return segment
+
+    def _filled(self, store, n: int = 36):
+        ns = store.namespace("sweep")
+        keys = _keys(n)
+        assert ns.put_many([(k, {"i": i}) for i, k in enumerate(keys)]) == n
+        return ns, keys
+
+    def test_a_batch_is_one_file(self, store):
+        ns, _ = self._filled(store)
+        files = [p for p in ns.directory.rglob("*") if p.is_file()]
+        assert files == [self._segment(ns)]
+        assert ns.metrics["store.sweep.puts"] == 36
+        assert ns.metrics["store.sweep.bytes_written"] == sum(
+            len(ns.codec.encode({"i": i})) for i in range(36))
+
+    def test_fresh_namespace_reads_every_record_from_disk(self, store):
+        _, keys = self._filled(store)
+        fresh = store.namespace("sweep")
+        assert [fresh.get(k) for k in keys] == [{"i": i} for i in range(36)]
+        assert fresh.metrics["store.sweep.hits_disk"] == 36
+        assert fresh.metrics["store.sweep.misses"] == 0
+
+    def test_another_process_segment_is_found_on_a_miss(self, store):
+        ns, keys = self._filled(store, 4)
+        late = _keys(8)[4:]
+        assert ns.get(late[0]) is None  # indexed, and a miss
+        script = (
+            "import sys\n"
+            "from repro.store import ArtifactStore, content_key\n"
+            "ns = ArtifactStore(sys.argv[1]).namespace('sweep')\n"
+            "ns.put_many([(content_key({'i': i}), {'i': i})"
+            " for i in range(4, 8)])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        subprocess.run([sys.executable, "-c", script, str(store.root)],
+                       env=env, check=True, timeout=120)
+        assert [ns.get(k) for k in late] == [{"i": i} for i in range(4, 8)]
+        assert ns.metrics["store.sweep.hits_disk"] == 4
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_a_damaged_segment_is_quarantined_whole(self, store, damage):
+        ns, keys = self._filled(store)
+        segment = self._segment(ns)
+        blob = bytearray(segment.read_bytes())
+        if damage == "truncate":
+            blob = blob[: len(blob) // 2]
+        else:  # one bit of record 5's payload
+            blob[len(b"".join(
+                ns._frame(k, ns.codec.encode({"i": i}))
+                for i, k in enumerate(keys[:6]))) - 3] ^= 0x01
+        segment.write_bytes(bytes(blob))
+
+        fresh = store.namespace("sweep")
+        first = keys[5] if damage == "flip" else keys[0]
+        assert fresh.get(first) is None
+        assert [fresh.get(k) for k in keys] == [None] * 36
+        assert not segment.exists()
+        assert [p.name for p in fresh.quarantine_dir.iterdir()] \
+            == [segment.name]
+        assert fresh.metrics["store.sweep.integrity_failures"] == 1
+        assert fresh.metrics["store.sweep.quarantined"] == 1
+        assert fresh.metrics["store.sweep.misses"] == 37
+
+    @pytest.mark.parametrize("budget", ["entries", "bytes"])
+    def test_a_disk_budget_evicts_the_oldest_segment_whole(self, store,
+                                                           budget):
+        keys = _keys(9)
+        probe = store.namespace("probe")
+        probe.put_many([(k, {"i": i}) for i, k in enumerate(keys[:3])])
+        size = self._segment(probe).stat().st_size
+        caps = ({"max_disk_entries": 7} if budget == "entries"
+                else {"max_disk_bytes": 2 * size + size // 2})
+        ns = store.namespace("sweep", **caps)
+        for start in (0, 3, 6):
+            ns.put_many([(k, {"i": i}) for i, k in
+                         enumerate(keys[start:start + 3], start)])
+        assert ns.keys() == sorted(keys[3:])
+        assert ns.metrics["store.sweep.evictions_disk"] == 3
+        assert ns.metrics["store.sweep.entries_disk"] == 6
+        assert len(list(ns.segments_dir.iterdir())) == 2
+
+    def test_keys_scan_clear_and_entries_count_records(self, store):
+        ns, keys = self._filled(store, 4)
+        single = content_key("single")
+        ns.put(single, {"single": True})
+        everything = sorted([*keys, single])
+        fresh = store.namespace("sweep")
+        assert fresh.keys() == everything
+        assert sorted(dict(fresh.scan())) == everything
+        assert fresh.metrics["store.sweep.entries_disk"] == 5
+        assert fresh.metrics["store.sweep.hits_disk"] == 0  # neutral
+        assert fresh.clear() == 5
+        assert fresh.metrics["store.sweep.entries_disk"] == 0
+        assert fresh.keys() == []
+        assert store.namespace("sweep").get(keys[0]) is None
+
+    def test_get_framed_of_a_segment_record_round_trips(self, store,
+                                                        tmp_path):
+        _, keys = self._filled(store, 3)
+        blob = store.namespace("sweep").get_framed(keys[1])
+        other = ArtifactStore(tmp_path / "other").namespace("sweep")
+        assert other.put_framed(keys[1], blob) == "stored"
+        assert ArtifactStore(tmp_path / "other").namespace("sweep").get(
+            keys[1]) == {"i": 1}
+
+    def test_the_newest_record_wins_after_a_delete_and_rewrite(self, store):
+        ns, keys = self._filled(store, 3)
+        assert ns.delete(keys[0])
+        assert not ns.contains(keys[0]) and ns.get(keys[0]) is None
+        assert ns.put_many([(keys[0], {"i": "new"}),
+                            (content_key("other"), {})]) == 2
+        fresh = store.namespace("sweep")  # indexes both segments afresh
+        assert fresh.get(keys[0]) == {"i": "new"}
+        assert fresh.get(keys[1]) == {"i": 1}
+
+    def test_skip_existing_keeps_stored_records(self, store):
+        ns, keys = self._filled(store, 3)
+        new = content_key("new")
+        fresh = store.namespace("sweep")
+        assert fresh.put_many([(keys[0], {"i": "again"}), (new, {})],
+                              skip_existing=True) == 1
+        assert store.namespace("sweep").get(keys[0]) == {"i": 0}
+
+    def test_a_segment_write_replaces_the_keys_own_file(self, store):
+        ns = store.namespace("sweep")
+        key, other = _keys(2)
+        ns.put(key, {"v": "old"})
+        assert ns.put_many([(key, {"v": "new"}), (other, {})]) == 2
+        assert not ns.path_of(key).exists()
+        assert store.namespace("sweep").get(key) == {"v": "new"}
+
+    def test_concurrent_batches_keep_the_index_whole(self, store):
+        ns = store.namespace("sweep", max_memory_entries=1)
+        threads, batches, size = 4, 40, 4
+        errors = []
+        start = threading.Barrier(threads)
+
+        def write(t: int) -> None:
+            try:
+                start.wait(timeout=60)
+                for b in range(batches):
+                    batch = [(content_key([t, b, i]), {"t": t, "b": b})
+                             for i in range(size)]
+                    ns.put_many(batch)
+                    assert ns.get(batch[0][0]) == {"t": t, "b": b}
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=write, args=(t,))
+                   for t in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        total = threads * batches * size
+        assert len(ns.keys()) == total
+        assert ns.metrics["store.sweep.entries_disk"] == total
+        assert len(list(ns.segments_dir.iterdir())) == threads * batches
+        fresh = store.namespace("sweep")
+        assert all(fresh.get(content_key([t, b, i])) == {"t": t, "b": b}
+                   for t in range(threads) for b in range(batches)
+                   for i in range(size))

@@ -165,6 +165,8 @@ def describe_measure(measure: Callable) -> dict:
 
 
 def _point_material(point: Any) -> Any:
+    if type(point) is dict:
+        return {str(k): point[k] for k in sorted(point, key=str)}
     if dataclasses.is_dataclass(point) and not isinstance(point, type):
         return dict(sorted(dataclasses.asdict(point).items()))
     if isinstance(point, Mapping):
@@ -172,18 +174,35 @@ def _point_material(point: Any) -> Any:
     return point
 
 
+def point_keyer(
+    measure_desc: dict, *, mode: str | None, fingerprint: str
+) -> Callable[[Any], str]:
+    """:func:`point_key` for one ``(measure, mode, fingerprint)``, as a
+    function of a point's material (:func:`_point_material`).
+
+    A key hashes the canonical JSON ``{"fingerprint", "measure",
+    "mode", "point"}``, whose keys sort in that order, so every byte
+    before the point is fixed: it is hashed once, and each key finishes
+    a copy of that state with the point's JSON.
+    """
+    head = json.dumps({"fingerprint": fingerprint, "measure": measure_desc,
+                       "mode": mode}, sort_keys=True, default=str)
+    state = hashlib.sha256(f'{head[:-1]}, "point": '.encode())
+
+    def key(material: Any) -> str:
+        h = state.copy()
+        h.update(f"{json.dumps(material, sort_keys=True, default=str)}}}"
+                 .encode())
+        return h.hexdigest()
+    return key
+
+
 def point_key(
     measure_desc: dict, point: Any, *, mode: str | None, fingerprint: str
 ) -> str:
     """Content hash identifying one measurement."""
-    material = {
-        "measure": measure_desc,
-        "point": _point_material(point),
-        "mode": mode,
-        "fingerprint": fingerprint,
-    }
-    blob = json.dumps(material, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return point_keyer(measure_desc, mode=mode, fingerprint=fingerprint)(
+        _point_material(point))
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +377,17 @@ def _chunked(units: list, jobs: int) -> list[list]:
     return [units[i:i + target] for i in range(0, len(units), target)]
 
 
-def _work_units(pts: list, missing: list[int], axis: str | None
-                ) -> list[list[int]]:
+def _work_units(pts: list, materials: list, missing: list[int],
+                axis: str | None) -> list[list[int]]:
     """The missing points' indices as units of work, in grid order:
     one per point, or one per group of points that agree on every
-    field but ``axis``."""
+    field but ``axis`` (``materials`` holds each point's
+    :func:`_point_material`)."""
     if axis is None:
         return [[i] for i in missing]
     groups: dict[str, list[int]] = {}
     for i in missing:
-        material = _point_material(pts[i])
+        material = materials[i]
         if not isinstance(material, dict) or axis not in material:
             raise ValueError(f"point {pts[i]!r} has no field {axis!r}")
         rest = {k: v for k, v in material.items() if k != axis}
@@ -510,14 +530,15 @@ class SweepExecutor:
         keys: list[str | None] = [None] * total
         missing: list[int] = []
         cache_hits = 0
+        grouped = axis is not None
+        materials = ([_point_material(q) for q in pts]
+                     if self.cache is not None or grouped else [])
 
         if self.cache is not None:
-            desc = describe_measure(measure)
+            key_of = point_keyer(describe_measure(measure), mode=mode,
+                                 fingerprint=self.fingerprint)
             for i, q in enumerate(pts):
-                key = point_key(
-                    desc, q, mode=mode, fingerprint=self.fingerprint
-                )
-                keys[i] = key
+                key = keys[i] = key_of(materials[i])
                 found = self.cache.get(key)
                 if found is None:
                     missing.append(i)
@@ -533,8 +554,7 @@ class SweepExecutor:
         done = cache_hits
         self._emit(label, total, done, cache_hits, start, timings)
 
-        grouped = axis is not None
-        units = _work_units(pts, missing, axis)
+        units = _work_units(pts, materials, missing, axis)
         unwritten: list[tuple[str, int, dict]] = []
         written_at = time.perf_counter()
 

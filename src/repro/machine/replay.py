@@ -157,64 +157,198 @@ class _Unkeyable(Exception):
 
 
 _MAX_KEY_DEPTH = 16
+#: Entries each keying memo (:data:`_FEEDERS`, :data:`_CODE_FACTS`)
+#: holds; past it the memo starts afresh.
+_MEMO_ENTRIES = 4096
 
 
 def _feed_value(h, value, seen: set[int], depth: int = 0) -> None:
-    """Hash one python value canonically; raise :class:`_Unkeyable`."""
+    """Hash one python value canonically; raise :class:`_Unkeyable`.
+
+    The encoding is chosen by the value's exact type, through
+    :data:`_FEEDERS`, which :func:`_feeder_for` fills the first time a
+    type is seen.
+    """
     if depth > _MAX_KEY_DEPTH:
         raise _Unkeyable("value nesting too deep")
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        h.update(f"{type(value).__name__}:{value!r};".encode())
-    elif isinstance(value, np.generic):
-        h.update(f"np:{value.dtype}:{value.item()!r};".encode())
-    elif isinstance(value, np.ndarray):
-        h.update(f"ndarray:{value.dtype}:{value.shape};".encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, (tuple, list)):
-        h.update(f"{type(value).__name__}[{len(value)}](".encode())
-        for item in value:
-            _feed_value(h, item, seen, depth + 1)
-        h.update(b")")
-    elif isinstance(value, dict):
-        h.update(f"dict[{len(value)}](".encode())
-        for key in sorted(value, key=repr):
-            h.update(repr(key).encode())
-            _feed_value(h, value[key], seen, depth + 1)
-        h.update(b")")
-    elif isinstance(value, (set, frozenset)):
-        h.update(f"set[{len(value)}]{sorted(map(repr, value))!r};".encode())
-    elif isinstance(value, range):
-        h.update(f"range:{value!r};".encode())
-    elif isinstance(value, enum.Enum):
-        h.update(f"enum:{value!r};".encode())
-    elif isinstance(value, MemorySpace):
-        h.update(f"space:{value.name}:{value.space_id!r};".encode())
-    elif isinstance(value, functools.partial):
-        h.update(b"partial(")
-        _feed_function(h, value.func, seen, depth + 1)
-        _feed_value(h, tuple(value.args), seen, depth + 1)
-        _feed_value(h, dict(value.keywords), seen, depth + 1)
-        h.update(b")")
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        h.update(f"dc:{type(value).__qualname__}(".encode())
-        for f in dataclasses.fields(value):
-            h.update(f.name.encode())
-            _feed_value(h, getattr(value, f.name), seen, depth + 1)
-        h.update(b")")
-    elif callable(value):
-        _feed_function(h, value, seen, depth + 1)
-    else:
-        raise _Unkeyable(f"cannot key a {type(value).__qualname__} value")
+    cls = type(value)
+    feed = _FEEDERS.get(cls)
+    if feed is None:
+        if len(_FEEDERS) >= _MEMO_ENTRIES:
+            _FEEDERS.clear()
+        feed = _FEEDERS[cls] = _feeder_for(cls)
+    feed(h, value, seen, depth)
 
 
-def _feed_code(h, code, seen: set[int], depth: int) -> None:
-    h.update(code.co_code)
-    h.update(repr(code.co_names).encode())
-    for const in code.co_consts:
-        if hasattr(const, "co_code"):
-            _feed_code(h, const, seen, depth + 1)
-        else:
-            _feed_value(h, const, seen, depth + 1)
+def _feed_scalar(h, value, seen, depth) -> None:
+    h.update(f"{type(value).__name__}:{value!r};".encode())
+
+
+def _feed_np_scalar(h, value, seen, depth) -> None:
+    h.update(f"np:{value.dtype}:{value.item()!r};".encode())
+
+
+def _feed_ndarray(h, value, seen, depth) -> None:
+    h.update(f"ndarray:{value.dtype}:{value.shape};".encode())
+    h.update(np.ascontiguousarray(value).tobytes())
+
+
+def _feed_sequence(h, value, seen, depth) -> None:
+    h.update(f"{type(value).__name__}[{len(value)}](".encode())
+    for item in value:
+        _feed_value(h, item, seen, depth + 1)
+    h.update(b")")
+
+
+def _feed_dict(h, value, seen, depth) -> None:
+    h.update(f"dict[{len(value)}](".encode())
+    for key in sorted(value, key=repr):
+        h.update(repr(key).encode())
+        _feed_value(h, value[key], seen, depth + 1)
+    h.update(b")")
+
+
+def _feed_set(h, value, seen, depth) -> None:
+    h.update(f"set[{len(value)}]{sorted(map(repr, value))!r};".encode())
+
+
+def _feed_range(h, value, seen, depth) -> None:
+    h.update(f"range:{value!r};".encode())
+
+
+def _feed_enum(h, value, seen, depth) -> None:
+    h.update(f"enum:{value!r};".encode())
+
+
+def _feed_space(h, value, seen, depth) -> None:
+    h.update(f"space:{value.name}:{value.space_id!r};".encode())
+
+
+def _feed_partial(h, value, seen, depth) -> None:
+    h.update(b"partial(")
+    _feed_function(h, value.func, seen, depth + 1)
+    _feed_value(h, tuple(value.args), seen, depth + 1)
+    _feed_value(h, dict(value.keywords), seen, depth + 1)
+    h.update(b")")
+
+
+def _dataclass_feeder(cls: type) -> Callable:
+    """A dataclass's fields in declaration order, named; the names and
+    the ``dc:<qualname>(`` head are encoded once per class."""
+    head = f"dc:{cls.__qualname__}(".encode()
+    names = tuple((f.name, f.name.encode()) for f in dataclasses.fields(cls))
+
+    def feed(h, value, seen, depth):
+        h.update(head)
+        for name, encoded in names:
+            h.update(encoded)
+            _feed_value(h, getattr(value, name), seen, depth + 1)
+        h.update(b")")
+    return feed
+
+
+def _feed_callable(h, value, seen, depth) -> None:
+    _feed_function(h, value, seen, depth + 1)
+
+
+def _feed_unkeyable(h, value, seen, depth) -> None:
+    raise _Unkeyable(f"cannot key a {type(value).__qualname__} value")
+
+
+def _feeder_for(cls: type) -> Callable:
+    """The feeder of values of exactly ``cls``.
+
+    The first match of an ordered chain of checks on the type, so a
+    subclass is encoded as the first of its bases the chain names (a
+    ``bool`` as a scalar, an ``IntEnum`` as an int).  Instances are
+    callable when the type defines ``__call__``.
+    """
+    if cls is type(None) or issubclass(cls, (bool, int, float, str, bytes)):
+        return _feed_scalar
+    for bases, feed in (
+        (np.generic, _feed_np_scalar),
+        (np.ndarray, _feed_ndarray),
+        ((tuple, list), _feed_sequence),
+        (dict, _feed_dict),
+        ((set, frozenset), _feed_set),
+        (range, _feed_range),
+        (enum.Enum, _feed_enum),
+        (MemorySpace, _feed_space),
+        (functools.partial, _feed_partial),
+    ):
+        if issubclass(cls, bases):
+            return feed
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _dataclass_feeder(cls)
+    if any("__call__" in vars(base) for base in cls.__mro__):
+        return _feed_callable
+    return _feed_unkeyable
+
+
+#: The feeder of each value type met so far (see :func:`_feeder_for`).
+_FEEDERS: dict[type, Callable] = {}
+
+
+class _Blob(list):
+    """Collects what a feeder hashes, for :func:`_code_facts`."""
+
+    update = list.append
+
+
+def _const_depth(const) -> int:
+    """How many levels below a code constant :func:`_feed_value`
+    descends: only a tuple has items."""
+    if type(const) is tuple:
+        return 1 + max(map(_const_depth, const), default=-1)
+    return 0
+
+
+def _code_facts(code) -> tuple:
+    """``(code, blob, need, globals)`` of a code object, made once.
+
+    ``blob`` is what keying the code feeds: the bytes of ``co_code``,
+    ``co_names`` and the constants, nested code included; ``None`` when
+    a constant cannot be keyed.  ``need`` is how far below the code's
+    own depth the constants reach: a function at ``depth`` is refused
+    when ``depth + need`` passes :data:`_MAX_KEY_DEPTH`.  ``globals``
+    holds each global name the code or its nested code uses, sorted,
+    with its encoded ``g:<name>=`` head.  A code object never changes,
+    and the memo holds it, so its ``id`` is not reused while the entry
+    lives.
+    """
+    facts = _CODE_FACTS.get(id(code))
+    if facts is not None:
+        return facts
+    blob, need = _Blob([code.co_code, repr(code.co_names).encode()]), 0
+    names = set(code.co_names)
+    try:
+        for const in code.co_consts:
+            if hasattr(const, "co_code"):
+                _, inner, inner_need, inner_globals = _code_facts(const)
+                if inner is None:
+                    raise _Unkeyable("unkeyable constant in nested code")
+                blob.update(inner)
+                need = max(need, inner_need + 1)
+                names.update(name for name, _ in inner_globals)
+            else:
+                _feed_value(blob, const, set(), 1)
+                need = max(need, _const_depth(const) + 1)
+    except _Unkeyable:
+        blob = None
+    facts = (
+        code,
+        None if blob is None else b"".join(blob),
+        need,
+        tuple((name, f"g:{name}=".encode()) for name in sorted(names)),
+    )
+    if len(_CODE_FACTS) >= _MEMO_ENTRIES:
+        _CODE_FACTS.clear()
+    _CODE_FACTS[id(code)] = facts
+    return facts
+
+
+#: :func:`_code_facts` of each code object keyed so far, by ``id``.
+_CODE_FACTS: dict[int, tuple] = {}
 
 
 def _feed_function(
@@ -222,6 +356,10 @@ def _feed_function(
     *, walk_globals: bool = False,
 ) -> None:
     """Hash a function's identity, bytecode, defaults, and closure.
+
+    A bound method also hashes the instance it is bound to (its
+    ``__self__``), as a value: what the method computes depends on it.
+    A builtin bound to a module (``len``, ``math.sqrt``) keys by name.
 
     ``walk_globals`` is set only for the *top-level* warp program: its
     referenced module globals are program inputs and get value-hashed.
@@ -240,12 +378,21 @@ def _feed_function(
     h.update(f"{getattr(fn, '__module__', '?')}.".encode())
     name = getattr(fn, "__qualname__", None) or getattr(fn, "__name__", None)
     h.update(f"{name or type(fn).__qualname__};".encode())
+    owner = getattr(fn, "__self__", None)
+    if owner is not None and not isinstance(owner, types.ModuleType):
+        h.update(b"self=")
+        _feed_value(h, owner, seen, depth + 1)
     code = getattr(fn, "__code__", None)
     if code is None:
         if not callable(fn) or name is None:
             raise _Unkeyable(f"cannot key callable {fn!r}")
         return  # builtin / C function: module + name is its identity
-    _feed_code(h, code, seen, depth)
+    _, blob, need, global_names = _code_facts(code)
+    if blob is None:
+        raise _Unkeyable(f"cannot key a constant of {name}")
+    if depth + need > _MAX_KEY_DEPTH:
+        raise _Unkeyable("value nesting too deep")
+    h.update(blob)
     for default in fn.__defaults__ or ():
         _feed_value(h, default, seen, depth + 1)
     for kwname, default in sorted((fn.__kwdefaults__ or {}).items()):
@@ -266,18 +413,12 @@ def _feed_function(
     # nothing can still address through a module-level array).  Hash the
     # value of every global the code (or a nested code object) names;
     # modules count by name, anything unkeyable refuses replay.
-    names: set[str] = set()
-    stack = [code]
-    while stack:
-        c = stack.pop()
-        names.update(c.co_names)
-        stack.extend(k for k in c.co_consts if hasattr(k, "co_code"))
     fn_globals = getattr(fn, "__globals__", None) or {}
-    for gname in sorted(names):
+    for gname, head in global_names:
         if gname not in fn_globals:
             continue  # builtin or attribute name: stable, nothing to hash
         value = fn_globals[gname]
-        h.update(f"g:{gname}=".encode())
+        h.update(head)
         if isinstance(value, types.ModuleType):
             h.update(f"module:{value.__name__};".encode())
         else:

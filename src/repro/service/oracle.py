@@ -34,8 +34,9 @@ from repro.analysis.advisor import diagnose
 from repro.analysis.executor import (
     SweepExecutor,
     SweepPoint,
+    _point_material,
     describe_measure,
-    point_key,
+    point_keyer,
 )
 from repro.analysis.terms import Params
 from repro.experiments.table1 import (
@@ -130,6 +131,11 @@ class CostOracle:
         #: them, and sweep and tune responses carry their deltas.
         self.metrics = self.executor.metrics
         self._lock = threading.Lock()
+        # The executor's key of an oracle point, with the measure, mode
+        # and fingerprint hashed once.
+        self._key_of = point_keyer(describe_measure(evaluate_points),
+                                   mode=None,
+                                   fingerprint=self.executor.fingerprint)
 
     # -- evaluation --------------------------------------------------------
     def _run(self, specs: list[dict], label: str) -> list[SweepPoint]:
@@ -275,8 +281,7 @@ class CostOracle:
 
     def _store_key(self, spec: Mapping) -> str:
         """The executor's cache key for an auto-backend-stripped spec."""
-        return point_key(describe_measure(evaluate_points), spec, mode=None,
-                         fingerprint=self.executor.fingerprint)
+        return self._key_of(_point_material(spec))
 
     # -- observability / lifecycle ----------------------------------------
     def _cache_delta(self, before: dict) -> dict:

@@ -147,6 +147,13 @@ def _check_key(key: str) -> str:
 #: segment cut at a record boundary is still seen to be truncated.
 _SEGMENT_SUFFIX = ".seg"
 _segment_seq = itertools.count()
+#: An index entry packs one segment record as ``number << 80 | offset
+#: << 40 | length``: the segment's slot in the namespace's list of
+#: segment names and the record's place in it, in two 40-bit fields
+#: (a segment is indexed only when it is under 1 TiB).
+_FIELD_BITS = 40
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_NUMBER_SHIFT = 2 * _FIELD_BITS
 
 
 def _mtime_ns(path: str) -> int:
@@ -212,13 +219,16 @@ class Namespace:
         # of locally-written keys (what a shard offers its peers).
         self._remote_keys: set[str] = set()
         self._recent_puts: "deque[str] | None" = None
-        # The segment index: each indexed key's record as (segment,
-        # offset, length), the keys of each indexed segment, and the
-        # segments directory's mtime at the last listing (None: never
-        # listed).
+        # The segment index: each indexed key's record as one packed
+        # int (see _FIELD_BITS), the name of each segment number (None
+        # for a free number) and the free numbers, each indexed
+        # segment's number and keys, and the segments directory's mtime
+        # at the last listing (None: never listed).
         self._index_lock = threading.RLock()
-        self._index: dict[str, tuple[str, int, int]] = {}
-        self._segments: dict[str, list[str]] = {}
+        self._index: dict[str, int] = {}
+        self._names: list[str | None] = []
+        self._free: list[int] = []
+        self._segments: dict[str, tuple[int, list[str]]] = {}
         self._listed_mtime: int | None = None
 
     # -- bookkeeping --------------------------------------------------------
@@ -355,6 +365,8 @@ class Namespace:
         records = []
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
+            if size >> _FIELD_BITS:
+                return None
             offset = 0
             while offset < size:
                 head = fh.readline()
@@ -372,20 +384,32 @@ class Namespace:
                      records: "list[tuple[str, int, int]]") -> None:
         """Index one segment's records; the newest segment (by name)
         holding a key wins.  Call with the index lock held."""
-        self._segments[name] = [key for key, _, _ in records]
+        if self._free:
+            number = self._free.pop()
+            self._names[number] = name
+        else:
+            number = len(self._names)
+            self._names.append(name)
+        self._segments[name] = (number, [key for key, _, _ in records])
+        base = number << _NUMBER_SHIFT
         for key, offset, length in records:
             held = self._index.get(key)
-            if held is None or held[0] <= name:
-                self._index[key] = (name, offset, length)
+            if held is None or self._names[held >> _NUMBER_SHIFT] <= name:
+                self._index[key] = base | offset << _FIELD_BITS | length
 
     def _forget_segment(self, name: str) -> None:
         """Drop one segment's records from the index (no-op for any
         other name)."""
         with self._index_lock:
-            for key in self._segments.pop(name, ()):
+            number, keys = self._segments.pop(name, (None, ()))
+            if number is None:
+                return
+            for key in keys:
                 held = self._index.get(key)
-                if held is not None and held[0] == name:
+                if held is not None and held >> _NUMBER_SHIFT == number:
                     del self._index[key]
+            self._names[number] = None
+            self._free.append(number)
 
     def _refresh_index(self) -> bool:
         """Index the segments published since the last listing, when
@@ -432,9 +456,11 @@ class Namespace:
         segment, or ``None`` when the index has no readable record."""
         with self._index_lock:
             found = self._index.get(key)
-        if found is None:
-            return None
-        name, offset, length = found
+            if found is None:
+                return None
+            name = self._names[found >> _NUMBER_SHIFT]
+        offset = found >> _FIELD_BITS & _FIELD_MASK
+        length = found & _FIELD_MASK
         path = os.path.join(self._segments_path, name)
         try:
             with open(path, "rb", buffering=0) as fh:
@@ -504,7 +530,7 @@ class Namespace:
         self._refresh_index()
         with self._index_lock:
             segments = [(name, len(keys))
-                        for name, keys in self._segments.items()]
+                        for name, (_, keys) in self._segments.items()]
         for name, records in segments:
             path = self.segments_dir / name
             try:
@@ -549,12 +575,14 @@ class Namespace:
         Memory first, then the key's own file, then its segment record,
         with integrity verification; a disk hit is promoted into the
         memory tier.  A corrupt entry file, or the segment holding a
-        corrupt record, is quarantined.
+        corrupt record, is quarantined.  The key is validated on a
+        memory-tier miss: the tier holds only keys validated when they
+        were stored.
         """
-        _check_key(key)
         found = self._memory_hit(key)
         if found is not None:
             return found[0]
+        _check_key(key)
         stored = self._disk_blob(key) if self.persist else None
         if stored is not None:
             blob, path = stored
@@ -583,11 +611,13 @@ class Namespace:
 
         A hit counts exactly what :meth:`get` counts for it; a miss
         counts nothing, so a caller that falls back to :meth:`get`
-        counts that lookup once.
+        counts that lookup once.  The key is validated on a miss.
         """
-        _check_key(key)
         found = self._memory_hit(key)
-        return None if found is None else found[0]
+        if found is None:
+            _check_key(key)
+            return None
+        return found[0]
 
     def put(
         self, key: str, obj: Any, *,
@@ -846,6 +876,8 @@ class Namespace:
                 self._count("io_errors")
         with self._index_lock:
             self._index.clear()
+            self._names.clear()
+            self._free.clear()
             self._segments.clear()
             self._listed_mtime = None
         if self.quarantine_dir.is_dir():

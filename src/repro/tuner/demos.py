@@ -13,7 +13,9 @@ the other latencies.
 Runners are deterministic: input data derives from a seeded RNG keyed
 by the task shape, so every candidate (and every worker process) costs
 the identical launch, which is what keys the sweep cache and the replay
-trace store correctly.
+trace store correctly.  Being a pure function of the task's draw and
+its shape, a shape's inputs are drawn once per process and handed out
+read-only; the engine copies them into its memory.
 
 Tasks:
 
@@ -39,6 +41,7 @@ Tasks:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -140,9 +143,36 @@ class TuneTask:
         return shape
 
 
+#: Input sets (one draw at one shape) that :func:`_inputs` keeps.
+_INPUT_SETS = 16
+
+
 def _rng(shape: dict) -> np.random.Generator:
     return np.random.default_rng(
         [_SEED] + [int(shape[k]) for k in sorted(shape)])
+
+
+def _inputs(draw: Callable, shape: dict) -> tuple[np.ndarray, ...]:
+    """``draw(shape, _rng(shape))``: the arrays a task launches on.
+
+    Made once per ``(draw, shape)`` and read-only, so every launch of
+    one shape gets the same arrays and none can change them.
+    """
+    return _drawn(draw, tuple(sorted(shape.items())))
+
+
+@functools.lru_cache(maxsize=_INPUT_SETS)
+def _drawn(draw: Callable, shape_items: tuple) -> tuple[np.ndarray, ...]:
+    shape = dict(shape_items)
+    arrays = draw(shape, _rng(shape))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _draw_values(shape: dict, rng: np.random.Generator) -> tuple:
+    """``n`` standard-normal values."""
+    return (rng.standard_normal(shape["n"]),)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +186,14 @@ def _transpose_space(shape: dict) -> ParamSpace:
     ])
 
 
-def _transpose_matrix(shape: dict) -> np.ndarray:
+def _draw_matrix(shape: dict, rng: np.random.Generator) -> tuple:
     m = shape["m"]
-    return _rng(shape).standard_normal((m, m))
+    return (rng.standard_normal((m, m)),)
+
+
+def _transpose_matrix(shape: dict) -> np.ndarray:
+    """The ``m x m`` matrix to transpose (read-only)."""
+    return _inputs(_draw_matrix, shape)[0]
 
 
 def _run_transpose(config: dict, shape: dict, l: int, mode: str):
@@ -197,7 +232,7 @@ def _run_sum(config: dict, shape: dict, l: int, mode: str):
     w, n = shape["w"], shape["n"]
     engine = MachineEngine(MachineParams(width=w, latency=l), UMMGroupPolicy(),
                            name="umm", dispatch=config["dispatch"], mode=mode)
-    values = _rng(shape).standard_normal(n)
+    values, = _inputs(_draw_values, shape)
     total, report = run_flat_sum(engine, values, config["p"])
     return np.asarray([total]), report, engine
 
@@ -226,7 +261,7 @@ def _run_sort(config: dict, shape: dict, l: int, mode: str):
     w, n = shape["w"], shape["n"]
     engine = MachineEngine(MachineParams(width=w, latency=l), DMMBankPolicy(),
                            name="dmm", dispatch=config["dispatch"], mode=mode)
-    values = _rng(shape).standard_normal(n)
+    values, = _inputs(_draw_values, shape)
     p = min(4 * w, n)
     if config["network"] == "naive":
         out, report = flat_bitonic_sort(engine, values, p)
@@ -264,7 +299,7 @@ def _run_permutation(config: dict, shape: dict, l: int, mode: str):
     w, n = shape["w"], shape["n"]
     engine = MachineEngine(MachineParams(width=w, latency=l), DMMBankPolicy(),
                            name="dmm", dispatch=config["dispatch"], mode=mode)
-    values = _rng(shape).standard_normal(n)
+    values, = _inputs(_draw_values, shape)
     perm = _adversarial_perm(shape)
     if config["schedule"] == "naive":
         schedule = generalized_naive_schedule(n, w)
@@ -289,14 +324,20 @@ def _gather_space(shape: dict) -> ParamSpace:
     ])
 
 
+def _draw_gather(shape: dict, rng: np.random.Generator) -> tuple:
+    """The values, then the targets (as float64 cells) they are read
+    through."""
+    n = shape["n"]
+    values = rng.standard_normal(n)
+    return values, rng.permutation(n).astype(np.float64)
+
+
 def _run_gather(config: dict, shape: dict, l: int, mode: str):
     w, n = shape["w"], shape["n"]
     engine = MachineEngine(MachineParams(width=w, latency=l), UMMGroupPolicy(),
                            name="umm", mode=mode)
-    rng = _rng(shape)
-    values = rng.standard_normal(n)
-    targets = rng.permutation(n)
-    idx = engine.array_from(targets.astype(np.float64), "tune.idx")
+    values, targets = _inputs(_draw_gather, shape)
+    idx = engine.array_from(targets, "tune.idx")
     a = engine.array_from(values, "tune.in")
     out = engine.alloc(n, "tune.out")
     report = engine.launch(

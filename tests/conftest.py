@@ -29,6 +29,32 @@ def _session_store_root(tmp_path_factory):
     reset_default_store()
 
 
+@pytest.fixture(autouse=True)
+def _launch_keys_match_reference(request, monkeypatch):
+    """Every program a tests/machine test launches keys as the plain
+    reference walk of ``launch_keys_ref`` does, whatever the mode."""
+    if request.node.path.parent.name != "machine":
+        yield
+        return
+    import repro.machine.engine as engine_mod
+    import repro.machine.hmm as hmm_mod
+    from launch_keys_ref import program_digests
+
+    differing = []
+    run_launch = engine_mod.run_launch
+
+    def checked(engine, program, *args, **kwargs):
+        memoized, reference = program_digests(program)
+        if memoized != reference:
+            differing.append(program)
+        return run_launch(engine, program, *args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "run_launch", checked)
+    monkeypatch.setattr(hmm_mod, "run_launch", checked)
+    yield
+    assert not differing, f"launch keys differ from the reference: {differing}"
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG for reproducible tests."""

@@ -639,3 +639,40 @@ class TestSegments:
         assert all(fresh.get(content_key([t, b, i])) == {"t": t, "b": b}
                    for t in range(threads) for b in range(batches)
                    for i in range(size))
+
+
+class TestSegmentIndex:
+    """The index packs each record as one int naming its segment by a
+    number; the newest segment still wins, and a forgotten segment's
+    number is reused without its records coming back."""
+
+    def test_the_newest_segment_wins_in_either_indexing_order(self, store):
+        ns = store.namespace("sweep")
+        key, other = _keys(2)
+        ns.put_many([(key, {"v": "new"}), (other, {})], memory=False)
+        # An older segment published after the newer one was indexed:
+        # the next listing indexes it after the newer one.
+        older = ns.segments_dir / f"{1:020d}-1-1-0-1.seg"
+        older.write_bytes(ns._frame(key, ns.codec.encode({"v": "old"})))
+        stamp = os.stat(ns.segments_dir).st_mtime_ns + 10**9
+        os.utime(ns.segments_dir, ns=(stamp, stamp))
+        assert ns.get(content_key("absent")) is None  # re-lists
+        assert ns.get(key) == {"v": "new"}
+        # A fresh namespace indexes the older segment first.
+        assert store.namespace("sweep").get(key) == {"v": "new"}
+
+    def test_a_forgotten_segments_number_is_reused(self, store):
+        writer = store.namespace("sweep")
+        first, second, third = _keys(6)[0:2], _keys(6)[2:4], _keys(6)[4:]
+        writer.put_many([(k, {"k": k}) for k in first])
+        writer.put_many([(k, {"k": k}) for k in second])
+        ns = store.namespace("sweep")
+        assert ns.get(second[0]) == {"k": second[0]}  # indexes both
+        gone = min(ns.segments_dir.iterdir())
+        gone.unlink()
+        assert ns.get(first[0]) is None  # forgets the missing segment
+        ns.put_many([(k, {"k": k}) for k in third], memory=False)
+        assert len(ns._names) == 2
+        assert [ns.get(k) for k in first] == [None, None]
+        assert [ns.get(k) for k in second + third] \
+            == [{"k": k} for k in second + third]
